@@ -58,10 +58,16 @@ renderState(State s, bool abbrev)
 
 } // namespace
 
-std::string
+const std::string &
 stateName(State s)
 {
-    return renderState(s, false);
+    static const std::vector<std::string> names = [] {
+        std::vector<std::string> v;
+        for (unsigned i = 0; i <= 0xff; ++i)
+            v.push_back(renderState(State(i), false));
+        return v;
+    }();
+    return names[s];
 }
 
 std::string

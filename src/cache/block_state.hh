@@ -78,9 +78,11 @@ constexpr bool wroteOnce(State s){ return s & BitWroteOnce; }
 /**
  * Render a state the way the paper names them, e.g.
  * "Write,Source,Dirty" or "Invalid".  Shared/WroteOnce bits are rendered
- * as ",Shared"/",WroteOnce" suffixes for the hybrid protocols.
+ * as ",Shared"/",WroteOnce" suffixes for the hybrid protocols.  Served
+ * from a table built once over every State value, so passing it to a
+ * disabled trace() costs a lookup, not a string build.
  */
-std::string stateName(State s);
+const std::string &stateName(State s);
 
 /** Short render for tables, e.g. "W.S.D" / "L.S.D.W" / "I". */
 std::string stateAbbrev(State s);

@@ -257,6 +257,16 @@ Cache::markUnitDirty(Frame &f, unsigned word_idx)
 }
 
 void
+Cache::inheritUnitDirty(Frame &f, const SnoopResult &res)
+{
+    // Assigned in place: the frame's bit vector keeps its storage.
+    if (isDirty(f.state) && !res.unitDirty.empty())
+        f.unitDirty = res.unitDirty;
+    else
+        f.unitDirty.assign(config_.geom.unitsPerBlock(), false);
+}
+
+void
 Cache::applyOp(Frame &f, AccessResult &r)
 {
     Addr wa = wordAlign(curOp_.addr);
@@ -472,25 +482,26 @@ Cache::snoop(const BusMsg &msg)
     dir_.noteBusSnoop();
     Frame *f = blocks_.find(msg.blockAddr);
     State before = f ? f->state : Inv;
-    std::vector<bool> units_before = f ? f->unitDirty
-                                       : std::vector<bool>();
     SnoopReply r = protocol_->snoop(*this, msg, f);
     State after = f ? f->state : Inv;
 
     if (r.supplyData && config_.geom.subBlockUnits()) {
         // Section D.3: only the requested transfer unit plus every
         // dirty unit moves; per-unit dirty status travels with it.
+        // (Protocols never touch unitDirty, so the frame's bits are
+        // still the pre-snoop ones here.)
         const CacheGeometry &g = config_.geom;
         unsigned req_unit =
             unsigned((msg.wordAddr - msg.blockAddr) / bytesPerWord) /
             g.transferWords;
-        std::vector<bool> du = units_before;
-        du.resize(g.unitsPerBlock(), false);
+        r.unitDirty.assign(g.unitsPerBlock(), false);
         unsigned units = 0;
-        for (unsigned u = 0; u < g.unitsPerBlock(); ++u)
-            units += (du[u] || u == req_unit);
+        for (unsigned u = 0; u < g.unitsPerBlock(); ++u) {
+            if (f && u < f->unitDirty.size())
+                r.unitDirty[u] = f->unitDirty[u];
+            units += (r.unitDirty[u] || u == req_unit);
+        }
         r.transferWordCount = units * g.transferWords;
-        r.unitDirty = du;
         if (f && !isDirty(f->state)) {
             // Dirty responsibility moved (or the block was flushed):
             // our per-unit dirt is gone.
@@ -560,10 +571,7 @@ Cache::busComplete(const BusMsg &msg, const SnoopResult &res)
         protocol_->finishBus(*this, msg, res, *f);
         if (config_.geom.subBlockUnits() &&
             transfersBlock(msg.req) && !msg.hasData) {
-            f->unitDirty = (isDirty(f->state) && !res.unitDirty.empty())
-                               ? res.unitDirty
-                               : std::vector<bool>(
-                                     config_.geom.unitsPerBlock(), false);
+            inheritUnitDirty(*f, res);
         }
         trace(TraceFlag::Protocol, "%s done blk=%llx -> %s", busReqName(msg.req),
                        (unsigned long long)msg.blockAddr,
@@ -655,12 +663,8 @@ Cache::lockFetchCompleted(const BusMsg &msg, const SnoopResult &res)
     if (msg.req == BusReq::ReadLock)
         opLockFetched_ = true;
     protocol_->finishBus(*this, msg, res, *f);
-    if (config_.geom.subBlockUnits()) {
-        f->unitDirty = (isDirty(f->state) && !res.unitDirty.empty())
-                           ? res.unitDirty
-                           : std::vector<bool>(
-                                 config_.geom.unitsPerBlock(), false);
-    }
+    if (config_.geom.subBlockUnits())
+        inheritUnitDirty(*f, res);
     ++busyWaitInterrupts;
     lockWaitTime.sample(curTick() - lockWaitStart_);
     trace(TraceFlag::Lock, "busy-wait won blk=%llx -> %s",

@@ -210,6 +210,10 @@ class Cache : public SimObject, public BusClient
     /** Record per-transfer-unit dirt for a written word (Section D.3). */
     void markUnitDirty(Frame &f, unsigned word_idx);
 
+    /** Give a freshly fetched frame the supplier's per-unit dirt if it
+     *  took dirty responsibility, else all-clean units (Section D.3). */
+    void inheritUnitDirty(Frame &f, const SnoopResult &res);
+
     /** Complete the current op locally (hit path). */
     void completeLocally(Frame &f);
 

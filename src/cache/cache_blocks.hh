@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/block_state.hh"
@@ -122,6 +121,11 @@ class CacheBlocks
      * lookup validates against the frame and lazily discards.  The
      * invariant that makes a miss authoritative is that every
      * blockAddr assignment goes through install().
+     *
+     * The index is a linear-probing table sized at construction to
+     * twice the frame count (rounded up to a power of two).  install()
+     * drops a frame's previous entry, so it never holds more than one
+     * entry per frame and never fills up or reallocates.
      */
     Frame *find(Addr block_addr);
     const Frame *find(Addr block_addr) const;
@@ -133,9 +137,11 @@ class CacheBlocks
     void install(Frame &f, Addr block_addr);
 
     /**
-     * Choose a frame for a new block in the set of @p block_addr.
-     * Returns the chosen frame; if it is valid, the caller must evict it
-     * (it may even be locked — the purge-locked-block case).
+     * Choose a frame for a new block in the set of @p block_addr: the
+     * set's first invalid frame, else its least-recently-used unlocked
+     * frame, else its least-recently-used frame.  If the result is
+     * valid, the caller must evict it (it may even be locked — the
+     * purge-locked-block case).
      */
     Frame *victim(Addr block_addr);
 
@@ -150,12 +156,32 @@ class CacheBlocks
     unsigned validCount() const;
 
   private:
+    /** One address-index slot: blockAddr -> frame index hint. */
+    struct Slot
+    {
+        Addr blockAddr = 0;
+        std::uint32_t frame = kEmpty;
+    };
+    static constexpr std::uint32_t kEmpty = ~std::uint32_t(0);
+
     CacheGeometry geom_;
     std::vector<Frame> frames_;
-    /** blockAddr -> frame index hint (see find()). */
-    std::unordered_map<Addr, std::uint32_t> index_;
+    /** Open-addressing address index (see find()); a power of two. */
+    std::vector<Slot> index_;
+    /** 64 - log2(index_.size()): Fibonacci-hash shift. */
+    unsigned indexShift_ = 0;
 
     std::pair<unsigned, unsigned> setRange(Addr block_addr) const;
+
+    /** Where @p block_addr's probe run starts. */
+    std::size_t homeSlot(Addr block_addr) const;
+
+    /** The slot holding @p block_addr, or the empty slot that ends its
+     *  probe run. */
+    std::size_t slotOf(Addr block_addr) const;
+
+    /** Empty slot @p i, shifting later entries of its run back. */
+    void eraseSlot(std::size_t i);
 };
 
 } // namespace csync

@@ -147,18 +147,19 @@ Bus::arbitrate()
     for (const auto &p : queue_)
         best_pri = std::max(best_pri, p.pri);
 
-    std::vector<ArbRequest> cands;
-    std::vector<std::size_t> cand_idx;
+    cands_.clear();
+    candIdx_.clear();
     for (std::size_t i = 0; i < queue_.size(); ++i) {
         if (queue_[i].pri != best_pri)
             continue;
-        cands.push_back(ArbRequest{queue_[i].client->nodeId(), queue_[i].pri,
-                                   queue_[i].cls, queue_[i].posted});
-        cand_idx.push_back(i);
+        cands_.push_back(ArbRequest{queue_[i].client->nodeId(),
+                                    queue_[i].pri, queue_[i].cls,
+                                    queue_[i].posted});
+        candIdx_.push_back(i);
     }
-    std::size_t k = arb_->pick(cands, unsigned(clients_.size()));
-    sim_assert(k < cands.size(), "arbitration picked out of range");
-    std::size_t best_idx = cand_idx[k];
+    std::size_t k = arb_->pick(cands_, unsigned(clients_.size()));
+    sim_assert(k < cands_.size(), "arbitration picked out of range");
+    std::size_t best_idx = candIdx_[k];
 
     Pending winner = queue_[best_idx];
     queue_.erase(queue_.begin() + best_idx);
@@ -178,8 +179,8 @@ Bus::arbitrate()
         return;
     }
 
-    BusMsg msg;
-    if (!winner.client->busGrant(msg)) {
+    grantMsg_.reset();
+    if (!winner.client->busGrant(grantMsg_)) {
         // Winner declined (e.g. its awaited lock is already gone); give
         // the slot to the next contender immediately.
         onTransactionComplete(winner.client);
@@ -187,20 +188,26 @@ Bus::arbitrate()
             scheduleArbitration();
         return;
     }
-    msg.requester = winner.client->nodeId();
+    grantMsg_.requester = winner.client->nodeId();
     arb_->onGrant(winner.client->nodeId(), winner.cls);
     if (winner.pri == BusPriority::BusyWait)
         ++highPriorityGrants;
 
-    trace(TraceFlag::Bus, "grant node %d: %s blk=%llx", msg.requester,
-                   busReqName(msg.req),
-                   (unsigned long long)msg.blockAddr);
-    execute(winner.client, std::move(msg));
+    // Park the accepted message: it stays the in-flight transaction
+    // until completion and lastMsg() until the next broadcast.
+    std::swap(grantMsg_, lastMsg_);
+    hasLastMsg_ = true;
+    lastMsgTick_ = curTick();
+    trace(TraceFlag::Bus, "grant node %d: %s blk=%llx", lastMsg_.requester,
+                   busReqName(lastMsg_.req),
+                   (unsigned long long)lastMsg_.blockAddr);
+    execute(winner.client);
 }
 
 void
-Bus::execute(BusClient *requester, BusMsg msg)
+Bus::execute(BusClient *requester)
 {
+    BusMsg &msg = lastMsg_;
     busy_ = true;
     ++transactions;
     ++*perType_[unsigned(msg.req)];
@@ -209,11 +216,9 @@ Bus::execute(BusClient *requester, BusMsg msg)
         if (!carriesClass(msg.cls))
             ++*misrouted_;
     }
-    lastMsg_ = msg;
-    hasLastMsg_ = true;
-    lastMsgTick_ = curTick();
 
-    SnoopResult res;
+    SnoopResult &res = res_;
+    res.reset();
     int suppliers = 0;
     bool flush_with_transfer = false;
     std::vector<Word> supplied;
@@ -331,7 +336,7 @@ Bus::execute(BusClient *requester, BusMsg msg)
                 dur += timing_.memLatency + timing_.dataCycles(words);
                 dataTransferCycles += double(timing_.dataCycles(words));
                 ++memSupplies;
-                res.data = memory_->readBlock(msg.blockAddr);
+                memory_->readBlock(msg.blockAddr, &res.data);
             }
             break;
 
@@ -387,15 +392,15 @@ Bus::execute(BusClient *requester, BusMsg msg)
 
     busyCycles += double(dur);
 
-    eventq()->scheduleIn(dur,
-                         [this, requester, m = std::move(msg),
-                          r = std::move(res)]() mutable {
-                             busy_ = false;
-                             onTransactionComplete(requester);
-                             requester->busComplete(m, r);
-                             if (!queue_.empty())
-                                 scheduleArbitration();
-                         });
+    // The parked message and result stay untouched until the next grant,
+    // which cannot happen before busy_ clears here.
+    eventq()->scheduleIn(dur, [this, requester] {
+        busy_ = false;
+        onTransactionComplete(requester);
+        requester->busComplete(lastMsg_, res_);
+        if (!queue_.empty())
+            scheduleArbitration();
+    });
 }
 
 } // namespace csync

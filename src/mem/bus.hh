@@ -186,10 +186,9 @@ class Bus : public Interconnect
 
     void scheduleArbitration();
     void arbitrate();
-    void execute(BusClient *requester, BusMsg msg);
-
-    /** Compute duration and move data for one transaction. */
-    Tick service(BusMsg &msg, SnoopResult &res, int suppliers);
+    /** Broadcast the parked message (lastMsg_) and schedule its
+     *  completion. */
+    void execute(BusClient *requester);
 
     Memory *memory_;
     BusTiming timing_;
@@ -203,7 +202,21 @@ class Bus : public Interconnect
     std::unique_ptr<ArbitrationPolicy> arb_;
     bool busy_ = false;
     bool arbScheduled_ = false;
+    /**
+     * The bus is atomic (busy_ admits one transaction at a time), so the
+     * in-flight transaction lives here rather than in its completion
+     * event: the winner fills grantMsg_, which is swapped into lastMsg_
+     * once the grant is accepted (a declined grant leaves lastMsg_ the
+     * previous broadcast); res_ collects the snoop replies.  All three
+     * keep their buffers between transactions.
+     */
+    BusMsg grantMsg_;
     BusMsg lastMsg_;
+    SnoopResult res_;
+    /** Arbitration scratch: the best-priority requests and their queue
+     *  positions. */
+    std::vector<ArbRequest> cands_;
+    std::vector<std::size_t> candIdx_;
     bool hasLastMsg_ = false;
     Tick lastMsgTick_ = 0;
 };

@@ -14,6 +14,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/types.hh"
@@ -143,6 +144,20 @@ struct BusMsg
     /** Words actually flushed (dirty transfer units); 0 = whole block. */
     unsigned wbWordCount = 0;
     /// @}
+
+    /** Return to the default-constructed message, keeping the payload
+     *  buffers' capacity so a reused message never reallocates. */
+    void
+    reset()
+    {
+        std::vector<Word> block = std::move(blockData);
+        std::vector<Word> wb = std::move(wbData);
+        *this = BusMsg{};
+        block.clear();
+        wb.clear();
+        blockData = std::move(block);
+        wbData = std::move(wb);
+    }
 };
 
 /**
@@ -204,6 +219,20 @@ struct SnoopResult
     std::vector<Word> data;
     /** Per-unit dirty bits inherited with the block (Section D.3). */
     std::vector<bool> unitDirty;
+
+    /** Return to the default-constructed result, keeping the buffers'
+     *  capacity (see BusMsg::reset()). */
+    void
+    reset()
+    {
+        std::vector<Word> words = std::move(data);
+        std::vector<bool> units = std::move(unitDirty);
+        *this = SnoopResult{};
+        words.clear();
+        units.clear();
+        data = std::move(words);
+        unitDirty = std::move(units);
+    }
 };
 
 } // namespace csync

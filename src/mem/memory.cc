@@ -16,16 +16,17 @@ Memory::Memory(std::string name, EventQueue *eq, unsigned block_words,
     sim_assert(block_words > 0, "memory needs a positive block size");
 }
 
-std::vector<Word>
-Memory::readBlock(Addr block_addr)
+void
+Memory::readBlock(Addr block_addr, std::vector<Word> *out)
 {
     sim_assert(block_addr == blockAlign(block_addr),
                "unaligned block read %llx", (unsigned long long)block_addr);
     ++blockReads;
     auto it = store_.find(block_addr);
     if (it == store_.end())
-        return std::vector<Word>(blockWords_, 0);
-    return it->second;
+        out->assign(blockWords_, 0);
+    else
+        *out = it->second;
 }
 
 std::vector<Word>

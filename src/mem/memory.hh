@@ -50,8 +50,9 @@ class Memory : public SimObject
         return a & ~(Addr(blockWords_) * bytesPerWord - 1);
     }
 
-    /** Read a whole block (zero-filled if never written). */
-    std::vector<Word> readBlock(Addr block_addr);
+    /** Read a whole block into @p out (zero-filled if never written);
+     *  @p out keeps its capacity, so a reused buffer never reallocates. */
+    void readBlock(Addr block_addr, std::vector<Word> *out);
 
     /** Inspect a block without touching statistics (checkers, tests). */
     std::vector<Word> peekBlock(Addr block_addr) const;

@@ -138,13 +138,13 @@ Processor::issue(const MemOp &op)
     issueTick_ = curTick();
     if (waitingForLock_)
         ++readySectionOps;
-    port.access(op, [this, op](const AccessResult &r) {
-        onResult(op, r);
-    });
+    curOp_ = op;
+    port.access(curOp_,
+                [this](const AccessResult &r) { onResult(r); });
 }
 
 void
-Processor::onResult(const MemOp &op, const AccessResult &r)
+Processor::onResult(const AccessResult &r)
 {
     opInFlight_ = false;
     memStallCycles += double(curTick() - issueTick_);
@@ -156,7 +156,7 @@ Processor::onResult(const MemOp &op, const AccessResult &r)
     } else {
         ++opsCompleted;
     }
-    workload_->onResult(op, r);
+    workload_->onResult(curOp_, r);
     scheduleNext();
 }
 

@@ -85,7 +85,7 @@ class Processor : public SimObject
   private:
     void scheduleNext();
     void issue(const MemOp &op);
-    void onResult(const MemOp &op, const AccessResult &r);
+    void onResult(const AccessResult &r);
     void onLockInterrupt(const MemOp &op, const AccessResult &r);
 
     NodeId id_;
@@ -95,6 +95,10 @@ class Processor : public SimObject
     bool started_ = false;
     bool finished_ = false;
     bool opInFlight_ = false;
+    /** The operation in flight (valid while opInFlight_): held here so
+     *  the cache's completion callback captures only `this` and stays
+     *  within std::function's inline buffer. */
+    MemOp curOp_;
     bool issuePending_ = false;
     bool waitingForLock_ = false;
     bool workWhileWaiting_ = false;

@@ -54,13 +54,19 @@ SpscMailbox::push(CrossEvent ev)
 void
 SpscMailbox::drainTo(std::vector<CrossEvent> *out)
 {
+    // Snapshot tail_ under spillMu_: the producer only spills under the
+    // lock, and only after the ring stopped taking pushes, so every
+    // spilled entry seen below is younger than every ring entry up to
+    // this snapshot.  Read outside the lock, the producer could fill
+    // the ring past the snapshot and spill in between, and the spilled
+    // entries would overtake the older ring entries left behind.
+    std::lock_guard<std::mutex> g(spillMu_);
     std::size_t head = head_.load(std::memory_order_relaxed);
     std::size_t tail = tail_.load(std::memory_order_acquire);
     for (; head != tail; ++head)
         out->push_back(std::move(ring_[head % capacity_]));
     head_.store(head, std::memory_order_release);
 
-    std::lock_guard<std::mutex> g(spillMu_);
     for (auto &ev : spill_)
         out->push_back(std::move(ev));
     spill_.clear();

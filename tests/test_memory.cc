@@ -24,7 +24,8 @@ struct MemoryTest : public ::testing::Test
 
 TEST_F(MemoryTest, UnwrittenBlocksReadZero)
 {
-    auto b = mem.readBlock(0x1000);
+    std::vector<Word> b{7, 7, 7, 7, 7, 7};    // stale, oversized buffer
+    mem.readBlock(0x1000, &b);
     ASSERT_EQ(b.size(), 4u);
     for (Word w : b)
         EXPECT_EQ(w, 0u);
@@ -33,7 +34,8 @@ TEST_F(MemoryTest, UnwrittenBlocksReadZero)
 TEST_F(MemoryTest, BlockRoundTrip)
 {
     mem.writeBlock(0x1000, {1, 2, 3, 4});
-    auto b = mem.readBlock(0x1000);
+    std::vector<Word> b;
+    mem.readBlock(0x1000, &b);
     EXPECT_EQ(b, (std::vector<Word>{1, 2, 3, 4}));
 }
 
@@ -41,7 +43,8 @@ TEST_F(MemoryTest, WordAccessWithinBlock)
 {
     mem.writeWord(0x1008, 99);
     EXPECT_EQ(mem.readWord(0x1008), 99u);
-    auto b = mem.readBlock(0x1000);
+    std::vector<Word> b;
+    mem.readBlock(0x1000, &b);
     EXPECT_EQ(b[1], 99u);
     EXPECT_EQ(b[0], 0u);
 }
@@ -83,7 +86,8 @@ TEST_F(MemoryTest, LockTags)
 TEST_F(MemoryTest, StatsCount)
 {
     mem.writeBlock(0x1000, {0, 0, 0, 0});
-    mem.readBlock(0x1000);
+    std::vector<Word> b;
+    mem.readBlock(0x1000, &b);
     mem.writeWord(0x1000, 1);
     mem.readWord(0x1000);
     EXPECT_DOUBLE_EQ(mem.blockWrites.value(), 1.0);
