@@ -5,7 +5,7 @@ namespace csync
 
 Cache::Cache(std::string name, EventQueue *eq, NodeId id, NodeId reg_id,
              const CacheConfig &config, std::unique_ptr<Protocol> protocol,
-             Interconnect *bus, Checker *checker,
+             Bus *bus, Checker *checker,
              stats::Group *stats_parent)
     : SimObject(std::move(name), eq),
       statsGroup(this->name(), stats_parent),

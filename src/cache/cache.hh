@@ -66,14 +66,14 @@ class Cache : public SimObject, public BusClient
      * @param reg_id Node id for the busy-wait register.
      * @param config Geometry and options.
      * @param protocol Coherence protocol (owned).
-     * @param bus The interconnect this port posts to (cache and register
+     * @param bus The bus this port posts to (cache and register
      *            are registered as clients by the caller, in id order).
      * @param checker Optional coherence checker (may be nullptr).
      * @param stats_parent Statistics parent group.
      */
     Cache(std::string name, EventQueue *eq, NodeId id, NodeId reg_id,
           const CacheConfig &config, std::unique_ptr<Protocol> protocol,
-          Interconnect *bus, Checker *checker,
+          Bus *bus, Checker *checker,
           stats::Group *stats_parent);
 
     /**
@@ -112,7 +112,7 @@ class Cache : public SimObject, public BusClient
     /** @name Access for protocols and the busy-wait register */
     /// @{
     Protocol &protocol() { return *protocol_; }
-    Interconnect &bus() { return *bus_; }
+    Bus &bus() { return *bus_; }
     Memory &memory() { return bus_->memory(); }
     DirectoryModel &directory() { return dir_; }
     Checker *checker() { return checker_; }
@@ -233,7 +233,7 @@ class Cache : public SimObject, public BusClient
     NodeId id_;
     CacheConfig config_;
     std::unique_ptr<Protocol> protocol_;
-    Interconnect *bus_;
+    Bus *bus_;
     Checker *checker_;
     CacheBlocks blocks_;
     DirectoryModel dir_;

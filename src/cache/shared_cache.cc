@@ -1,7 +1,7 @@
 #include "cache/shared_cache.hh"
 
 #include "cache/cache.hh"
-#include "mem/interconnect.hh"
+#include "mem/bus.hh"
 #include "sim/logging.hh"
 
 namespace csync

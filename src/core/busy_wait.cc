@@ -7,7 +7,7 @@ namespace csync
 
 BusyWaitRegister::BusyWaitRegister(std::string name, EventQueue *eq,
                                    Cache *cache, NodeId id,
-                                   Interconnect *bus)
+                                   Bus *bus)
     : SimObject(std::move(name), eq), cache_(cache), id_(id), bus_(bus)
 {
 }

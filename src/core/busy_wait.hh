@@ -20,7 +20,7 @@
 #ifndef CSYNC_CORE_BUSY_WAIT_HH
 #define CSYNC_CORE_BUSY_WAIT_HH
 
-#include "mem/interconnect.hh"
+#include "mem/bus.hh"
 #include "sim/sim_object.hh"
 
 namespace csync
@@ -39,10 +39,10 @@ class BusyWaitRegister : public SimObject, public BusClient
      * @param eq Event queue.
      * @param cache Owning cache.
      * @param id Bus node id of the register (distinct from the cache's).
-     * @param bus The interconnect the owning cache port posts to.
+     * @param bus The bus the owning cache port posts to.
      */
     BusyWaitRegister(std::string name, EventQueue *eq, Cache *cache,
-                     NodeId id, Interconnect *bus);
+                     NodeId id, Bus *bus);
 
     /** Record @p block_addr and start waiting. */
     void arm(Addr block_addr);
@@ -64,7 +64,7 @@ class BusyWaitRegister : public SimObject, public BusClient
   private:
     Cache *cache_;
     NodeId id_;
-    Interconnect *bus_;
+    Bus *bus_;
     bool armed_ = false;
     Addr blockAddr_ = 0;
 };

@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "mem/bus_msg.hh"
-#include "mem/interconnect.hh"
 #include "sim/types.hh"
 
 namespace csync

@@ -10,7 +10,7 @@ namespace csync
 Bus::Bus(std::string name, EventQueue *eq, Memory *memory,
          const BusTiming &timing, stats::Group *stats_parent,
          unsigned carries, bool class_stats, const std::string &arbitration)
-    : Interconnect(std::move(name), eq, carries),
+    : SimObject(std::move(name), eq),
       statsGroup(this->name(), stats_parent),
       transactions(&statsGroup, "transactions", "bus transactions granted"),
       busyCycles(&statsGroup, "busyCycles", "cycles the bus was occupied"),
@@ -30,6 +30,7 @@ Bus::Bus(std::string name, EventQueue *eq, Memory *memory,
                          "multi-source arbitrations (Feature 8 ARB)"),
       memory_(memory),
       timing_(timing),
+      carries_(carries),
       arb_(ArbitrationRegistry::make(arbitration))
 {
     sim_assert(memory_ != nullptr, "bus needs a memory");

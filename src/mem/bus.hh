@@ -22,7 +22,6 @@
 
 #include "mem/arbitration.hh"
 #include "mem/bus_msg.hh"
-#include "mem/interconnect.hh"
 #include "mem/memory.hh"
 #include "mem/timing.hh"
 #include "sim/sim_object.hh"
@@ -34,15 +33,52 @@ namespace csync
 class SnoopGate;
 
 /**
- * The broadcast bus: arbitration, snooping, data routing, and timing —
- * the shared-bus instantiation of Interconnect.
+ * Interface every bus client (cache port, busy-wait register, or I/O
+ * device) implements.
  */
-class Bus : public Interconnect
+class BusClient
+{
+  public:
+    virtual ~BusClient() = default;
+
+    /** Unique id of this node on its bus. */
+    virtual NodeId nodeId() const = 0;
+
+    /**
+     * The client won arbitration.  Fill in @p msg and return true, or
+     * return false to decline (e.g. the awaited lock was already taken by
+     * another winner).
+     */
+    virtual bool busGrant(BusMsg &msg) = 0;
+
+    /**
+     * Snoop a transaction broadcast by another node.  The client applies
+     * its own state changes and answers with what it drove onto the
+     * bus lines.
+     */
+    virtual SnoopReply snoop(const BusMsg &msg) = 0;
+
+    /** The client's own transaction completed. */
+    virtual void busComplete(const BusMsg &msg, const SnoopResult &res) = 0;
+};
+
+/**
+ * The broadcast bus: arbitration, snooping, data routing, and timing.
+ * Every switch of a System's interconnect (Section E.2, Figure 11) is
+ * a Bus; clients see one contract: addClient() in nodeId order, then
+ * request()/cancel() and the BusClient callbacks.  Which switch a
+ * reference uses is decided above this layer (the AddressMap in
+ * system/topology.hh); which traffic class it belongs to rides in
+ * BusMsg::cls.
+ */
+class Bus : public SimObject
 {
   public:
     /**
-     * @param carries Traffic classes this switch should carry
-     *        (kAllTraffic for a lone bus).
+     * @param carries Mask of trafficClassBit() values this switch is
+     *        meant to carry (kAllTraffic for a lone bus).  Advisory:
+     *        routing is by address; the mask feeds the misrouted-traffic
+     *        counter and topology checks.
      * @param class_stats Register per-traffic-class counters.  Off by
      *        default so single-bus stat dumps are unchanged; a
      *        multi-switch System turns it on for every switch.
@@ -55,29 +91,29 @@ class Bus : public Interconnect
         const std::string &arbitration = "round_robin");
 
     /** Attach a client (caches in nodeId order, then I/O devices). */
-    void addClient(BusClient *client) override;
+    void addClient(BusClient *client);
 
     /** Main memory behind the bus. */
-    Memory &memory() override { return *memory_; }
-
-    /** Timing parameters. */
-    const BusTiming &timing() const override { return timing_; }
+    Memory &memory() { return *memory_; }
 
     /**
      * Post a bus request for @p client.  A client has at most one pending
-     * request; re-posting updates its priority and traffic class.
+     * request; re-posting updates its priority and traffic class.  @p cls
+     * is what the client's eventual transaction will carry — arbitration
+     * policies that discriminate by traffic system
+     * (alternating_priority) read it at grant-decision time.
      */
     void request(BusClient *client, BusPriority pri = BusPriority::Normal,
-                 TrafficClass cls = TrafficClass::Data) override;
+                 TrafficClass cls = TrafficClass::Data);
 
     /** The service discipline arbitrating this bus. */
     const ArbitrationPolicy &arbitration() const { return *arb_; }
 
     /** Withdraw a pending request (e.g. busy-wait loser). */
-    void cancel(BusClient *client) override;
+    void cancel(BusClient *client);
 
     /** True if @p client currently has a request queued. */
-    bool requestPending(const BusClient *client) const override;
+    bool requestPending(const BusClient *client) const;
 
     /**
      * Install the cluster-boundary snoop gate (hierarchical topologies;
@@ -91,17 +127,23 @@ class Bus : public Interconnect
     /** The installed boundary gate, or null. */
     SnoopGate *snoopGate() const { return gate_; }
 
-    /** True while a transaction is in flight. */
-    bool busy() const override { return busy_; }
-
     /** True once any transaction has been broadcast (diagnostics). */
-    bool hasLastMsg() const override { return hasLastMsg_; }
+    bool hasLastMsg() const { return hasLastMsg_; }
 
     /** The most recently broadcast message (valid if hasLastMsg()). */
-    const BusMsg &lastMsg() const override { return lastMsg_; }
+    const BusMsg &lastMsg() const { return lastMsg_; }
 
     /** Tick at which lastMsg() was broadcast. */
-    Tick lastMsgTick() const override { return lastMsgTick_; }
+    Tick lastMsgTick() const { return lastMsgTick_; }
+
+    /** Traffic classes this switch is meant to carry. */
+    unsigned carries() const { return carries_; }
+
+    /** True if @p cls is among the classes this switch should carry. */
+    bool carriesClass(TrafficClass cls) const
+    {
+        return carries_ & trafficClassBit(cls);
+    }
 
     /** @name Statistics */
     /// @{
@@ -192,6 +234,7 @@ class Bus : public Interconnect
 
     Memory *memory_;
     BusTiming timing_;
+    unsigned carries_;
     std::vector<std::unique_ptr<stats::Scalar>> perType_;
     /** Per-traffic-class counters; registered only when class_stats. */
     std::vector<std::unique_ptr<stats::Scalar>> perClass_;

@@ -99,6 +99,15 @@ trafficClassBit(TrafficClass cls)
     return 1u << unsigned(cls);
 }
 
+/** Arbitration priority classes. */
+enum class BusPriority : int
+{
+    Normal = 0,
+    /** The dedicated high-priority level used by busy-wait registers when
+     *  an unlock broadcast fires (Section E.4). */
+    BusyWait = 1,
+};
+
 /** Carries-mask covering every traffic class. */
 inline constexpr unsigned kAllTraffic =
     trafficClassBit(TrafficClass::Data) | trafficClassBit(TrafficClass::Sync);

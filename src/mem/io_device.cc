@@ -4,7 +4,7 @@ namespace csync
 {
 
 IODevice::IODevice(std::string name, EventQueue *eq, NodeId id,
-                   Interconnect *bus, Checker *checker,
+                   Bus *bus, Checker *checker,
                    stats::Group *stats_parent)
     : SimObject(std::move(name), eq),
       statsGroup(this->name(), stats_parent),

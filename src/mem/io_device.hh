@@ -18,7 +18,7 @@
 #include <functional>
 #include <vector>
 
-#include "mem/interconnect.hh"
+#include "mem/bus.hh"
 #include "sim/sim_object.hh"
 #include "sim/stats.hh"
 #include "system/checker.hh"
@@ -36,7 +36,7 @@ class IODevice : public SimObject, public BusClient
     using IOCallback = std::function<void(const std::vector<Word> &)>;
 
     IODevice(std::string name, EventQueue *eq, NodeId id,
-             Interconnect *bus, Checker *checker,
+             Bus *bus, Checker *checker,
              stats::Group *stats_parent);
 
     /** Write @p data to @p block_addr, invalidating all cached copies. */
@@ -82,7 +82,7 @@ class IODevice : public SimObject, public BusClient
     void post(IOOp op);
 
     NodeId id_;
-    Interconnect *bus_;
+    Bus *bus_;
     Checker *checker_;
     std::deque<IOOp> pending_;
     bool inFlight_ = false;

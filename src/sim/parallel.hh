@@ -1,26 +1,26 @@
 /**
  * @file
- * Conservative parallel discrete-event engine.  A simulation is split
- * into shards — one event queue plus the objects bound to it — and the
- * shards run on worker threads in lockstep *windows* of simulated time.
- * Within a window each shard executes only its own events; anything a
- * shard wants to happen in another shard is posted through a per-pair
- * SPSC mailbox and delivered at the window barrier, where the
- * coordinator drains every mailbox and schedules the carried events in
- * a deterministic order.
+ * Windowed parallel discrete-event engine.  A simulation is split into
+ * shards — one event queue plus the objects bound to it — and the shards
+ * run on worker threads in lockstep *windows* of simulated time.  Within
+ * a window each shard executes only its own events.
  *
- * The conservative contract: an event posted during window W must be
- * timestamped at or after the end of W (the cross-domain lookahead — at
- * minimum the smallest latency any interaction between domains can
- * have).  That guarantees a shard never receives an event in its past,
- * so no rollback machinery is needed, and determinism reduces to the
- * delivery order at the barrier, which is fixed by the sort key
- * (when, priority, source shard, source sequence).
+ * Shards are disjoint: the domain partition (system/domain.hh) shards a
+ * run only when its domains provably never exchange events, so no event
+ * ever crosses a shard boundary and there is no channel between shards.
+ * A feature that couples domains must first change that proof, and add
+ * the channel it needs along with it.
  *
- * The scheduler is model-agnostic: a shard is an EventQueue plus three
- * callbacks (done / retired / optional per-window hook), so it is
- * equally the engine behind System's domain-sharded runs and the unit
- * tests' synthetic topologies.
+ * The shards need no synchronization with each other, yet they still
+ * meet at a barrier after every window: that is where the coordinator
+ * aggregates progress (termination, retirement for the forward-progress
+ * watchdog, the cooperative abort flag) and checks maxTicks, so every
+ * one of those stops lands on a window edge, a deterministic tick
+ * independent of worker timing.
+ *
+ * The scheduler is model-agnostic: a shard is an EventQueue plus
+ * callbacks (done / retired), so it is equally the engine behind
+ * System's domain-sharded runs and the unit tests' synthetic shards.
  */
 
 #ifndef CSYNC_SIM_PARALLEL_HH
@@ -31,12 +31,10 @@
 #include <cstdint>
 #include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
-#include "mem/timing.hh"
 #include "sim/event_queue.hh"
 #include "sim/types.hh"
 
@@ -44,76 +42,13 @@ namespace csync
 {
 
 /**
- * The minimum simulated latency of any cross-domain interaction under
- * @p t: before one switch's activity can be observed by another domain,
- * at least an arbitration and an address cycle must pass on the remote
- * switch (and a signal takes signalCycles to cross).  Windows at least
- * this wide make the conservative barrier safe.
- */
-Tick conservativeLookahead(const BusTiming &t);
-
-/** One event in flight between shards. */
-struct CrossEvent
-{
-    /** Absolute delivery tick (>= the posting window's end). */
-    Tick when = 0;
-    /** Intra-tick priority at the destination. */
-    EventPri pri = EventPri::Default;
-    /** Posting shard (delivery-order tie break). */
-    std::uint32_t srcDomain = 0;
-    /** Per-(source, destination) FIFO sequence (final tie break). */
-    std::uint64_t srcSeq = 0;
-    /** The work itself. */
-    EventCallback cb;
-};
-
-/**
- * Single-producer / single-consumer mailbox: a lock-free ring for the
- * common case, with a sticky locked spill list once the ring ever
- * overflows (sticky so FIFO order survives overflow: after the first
- * spill every later push spills too, keeping ring entries strictly
- * older than spill entries until a drain empties both).
- */
-class SpscMailbox
-{
-  public:
-    explicit SpscMailbox(std::size_t capacity = 1024);
-
-    SpscMailbox(const SpscMailbox &) = delete;
-    SpscMailbox &operator=(const SpscMailbox &) = delete;
-
-    /** Producer side: enqueue (never blocks the simulation). */
-    void push(CrossEvent ev);
-
-    /** Consumer side: append everything enqueued so far to @p out in
-     *  push order, making the mailbox empty (and re-arming the ring). */
-    void drainTo(std::vector<CrossEvent> *out);
-
-    /** True when nothing is waiting (consumer side). */
-    bool empty() const;
-
-  private:
-    std::vector<CrossEvent> ring_;
-    std::size_t capacity_;
-    /** Producer-owned cursor, read by the consumer. */
-    std::atomic<std::size_t> tail_{0};
-    /** Consumer-owned cursor, read by the producer. */
-    std::atomic<std::size_t> head_{0};
-    /** Producer-owned: once true, pushes go to the spill list until the
-     *  producer observes (under spillMu_) that everything drained. */
-    bool spilling_ = false;
-    mutable std::mutex spillMu_;
-    std::vector<CrossEvent> spill_;
-};
-
-/**
- * Runs a set of shards in conservative windows on a worker pool.
+ * Runs a set of disjoint shards in windows on a worker pool.
  *
  * Shards are assigned to workers round-robin; each worker executes its
  * shards' events up to the window horizon, then all threads meet at a
- * barrier where the coordinator delivers cross-shard mail, aggregates
- * progress (termination, retirement for the forward-progress watchdog,
- * the cooperative abort flag), and opens the next window.
+ * barrier where the coordinator aggregates progress (termination,
+ * retirement for the forward-progress watchdog, the cooperative abort
+ * flag) and opens the next window.
  */
 class ParallelScheduler
 {
@@ -133,15 +68,11 @@ class ParallelScheduler
     {
         /** Worker threads (clamped to the shard count, min 1). */
         unsigned threads = 2;
-        /** Window width in ticks (clamped up to the lookahead). */
+        /** Window width in ticks (min 1). */
         Tick window = 4096;
-        /** Minimum legal cross-domain event delay. */
-        Tick lookahead = 1;
         /** Stop once the horizon reaches this tick. */
         Tick maxTicks = maxTick;
-        /** Events per runBounded() slice between abort checks. */
-        std::uint64_t batchEvents = 4096;
-        /** Cooperative abort, checked every batch and window. */
+        /** Cooperative abort, checked every event batch and window. */
         const std::atomic<bool> *abort = nullptr;
         /**
          * Barrier hook: called once per window with the window-end tick
@@ -155,10 +86,10 @@ class ParallelScheduler
     /** Why and where the run stopped. */
     struct Result
     {
-        /** Every shard is done and every queue/mailbox drained. */
+        /** Every shard is done and every queue drained. */
         bool completed = false;
-        /** Queues and mailboxes drained with shards unfinished — the
-         *  parallel engine's deadlock signal. */
+        /** Queues drained with shards unfinished — the parallel
+         *  engine's deadlock signal. */
         bool drained = false;
         /** The onWindow hook stopped the run (watchdog trip). */
         bool stoppedByHook = false;
@@ -178,16 +109,6 @@ class ParallelScheduler
     ParallelScheduler(const ParallelScheduler &) = delete;
     ParallelScheduler &operator=(const ParallelScheduler &) = delete;
 
-    /**
-     * Post an event from shard @p src (must be the calling worker's
-     * shard) to shard @p dst.  @p when must be at or after the current
-     * window's end — the conservative lookahead contract, enforced by
-     * assertion.  Delivery happens at the barrier, ordered by
-     * (when, pri, src, per-pair sequence).
-     */
-    void post(unsigned src, unsigned dst, Tick when, EventPri pri,
-              EventCallback cb);
-
     /** Run to completion/stop; joins all workers before returning.
      *  Model exceptions (FatalError from a shard's event) rethrow on
      *  the calling thread after the pool is quiesced. */
@@ -196,17 +117,11 @@ class ParallelScheduler
   private:
     void workerMain(unsigned worker);
     void runShardWindow(unsigned shard);
-    void deliverMail();
     void shutdownWorkers();
 
     std::vector<Shard> shards_;
     Options opts_;
     unsigned numWorkers_;
-
-    /** Per-(src,dst) mailboxes, src-major. */
-    std::vector<std::unique_ptr<SpscMailbox>> mail_;
-    /** Per-(src,dst) FIFO sequence counters (producer-owned). */
-    std::vector<std::uint64_t> pairSeq_;
 
     /** @name Barrier state (all guarded by mu_) */
     /// @{

@@ -249,8 +249,7 @@ System::runParallel(Tick max_ticks, const std::atomic<bool> *abort)
 
     ParallelScheduler::Options opts;
     opts.threads = cfg_.simThreads;
-    opts.lookahead = conservativeLookahead(cfg_.timing);
-    opts.window = std::max<Tick>(opts.lookahead, 4096);
+    opts.window = 4096;
     opts.maxTicks = max_ticks;
     opts.abort = abort;
     // The per-window hook is the forward-progress watchdog.  The

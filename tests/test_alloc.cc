@@ -2,8 +2,9 @@
  * @file
  * Allocation budget of the simulation hot path.  A counting global
  * operator new checks that the steady state allocates nothing in the tag
- * array, the bus and the processor/cache hand-off, and that a whole
- * contended run stays under a per-op allocation bound.
+ * array, the bus and the processor/cache hand-off, that a whole
+ * contended run stays under a per-op allocation bound, and that the
+ * sharded engine's own bookkeeping stays small.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 
 #include "cache/cache_blocks.hh"
 #include "harness/workload_factory.hh"
+#include "sim/parallel.hh"
 #include "sim/random.hh"
 #include "system/system.hh"
 
@@ -21,6 +23,7 @@ namespace
 {
 
 std::atomic<std::uint64_t> gNews{0};
+std::atomic<std::uint64_t> gNewBytes{0};
 
 /** Keeps the sanity check's allocation from being optimized away. */
 int *volatile gSink = nullptr;
@@ -34,6 +37,7 @@ int *volatile gSink = nullptr;
 operator new(std::size_t n)
 {
     gNews.fetch_add(1, std::memory_order_relaxed);
+    gNewBytes.fetch_add(n, std::memory_order_relaxed);
     if (void *p = std::malloc(n ? n : 1))
         return p;
     throw std::bad_alloc();
@@ -84,6 +88,16 @@ countNews(F &&fn)
     return gNews.load() - before;
 }
 
+/** Bytes requested from operator new by @p fn. */
+template <typename F>
+std::uint64_t
+countNewBytes(F &&fn)
+{
+    std::uint64_t before = gNewBytes.load();
+    fn();
+    return gNewBytes.load() - before;
+}
+
 } // namespace
 
 TEST(Alloc, CounterSeesAllocations)
@@ -91,6 +105,8 @@ TEST(Alloc, CounterSeesAllocations)
     // Guard against the override silently not being linked in.
     EXPECT_GE(countNews([] { gSink = new int(1); }), 1u);
     delete gSink;
+    EXPECT_GE(countNewBytes([] { gSink = new int[64]; }), 64 * sizeof(int));
+    delete[] gSink;
 }
 
 TEST(Alloc, CacheBlocksAllocateNothingAfterConstruction)
@@ -203,4 +219,51 @@ TEST(Alloc, ContendedRunStaysUnderPerOpBound)
     EXPECT_LT(per_op, kMaxNewsPerOp)
         << news << " allocations for " << ops << " ops and "
         << sys.bus().transactions.value() << " bus transactions";
+}
+
+TEST(Alloc, ParallelSchedulerBookkeepingStaysSmall)
+{
+    // The scheduler's own cost over four trivial shards: worker threads,
+    // shard callbacks and the barrier.  Shards are disjoint, so it needs
+    // no per-pair state.  Measured with g++ 12 / libstdc++ on this exact
+    // run: 632 bytes.  The bound leaves room for the thread library and
+    // a small table, but not for per-pair event buffers: a 1024-entry
+    // ring of events for each of the 16 shard pairs is 2362104 bytes.
+    constexpr std::uint64_t kMaxBytes = 64 * 1024;
+
+    struct Tiny
+    {
+        EventQueue eq;
+        int left = 3;
+
+        void
+        arm()
+        {
+            eq.schedule(eq.now() + 1, [this] {
+                if (--left > 0)
+                    arm();
+            });
+        }
+    };
+    std::vector<Tiny> tiny(4);
+    for (Tiny &t : tiny)
+        t.arm();
+
+    ParallelScheduler::Result res;
+    std::uint64_t bytes = countNewBytes([&] {
+        std::vector<ParallelScheduler::Shard> shards;
+        for (Tiny &t : tiny) {
+            ParallelScheduler::Shard sh;
+            sh.eq = &t.eq;
+            sh.done = [&t] { return t.left == 0; };
+            shards.push_back(std::move(sh));
+        }
+        ParallelScheduler::Options o;
+        o.threads = 4;
+        ParallelScheduler sched(std::move(shards), o);
+        res = sched.run();
+    });
+    EXPECT_TRUE(res.completed);
+    RecordProperty("scheduler_bytes", std::to_string(bytes));
+    EXPECT_LT(bytes, kMaxBytes) << bytes << " bytes allocated";
 }

@@ -1,9 +1,9 @@
 /**
  * @file
  * The sharded parallel engine, bottom up: runBounded() (the window
- * primitive), the SPSC cross-shard mailboxes (FIFO through overflow and
- * under a racing producer — the TSan target), the ParallelScheduler's
- * barrier/abort/watchdog-hook machinery on synthetic shards, the static
+ * primitive), the ParallelScheduler's barrier/abort/watchdog-hook
+ * machinery on synthetic shards (the TSan target: workers and the
+ * coordinator meet only at the window barrier), the static
  * domain-partition analysis with every serial-fallback reason, and
  * whole-System parallel runs whose statistics must equal the serial
  * engine's exactly.
@@ -13,7 +13,6 @@
 
 #include <atomic>
 #include <sstream>
-#include <thread>
 #include <vector>
 
 #include "harness/workload_factory.hh"
@@ -61,107 +60,6 @@ TEST(RunBounded, EmptyWindowExecutesNothing)
     EXPECT_EQ(eq.runBounded(50, 1000), 0u);
     EXPECT_EQ(eq.now(), 0u); // horizon alone must not advance time
     EXPECT_EQ(eq.nextEventTick(), 100u);
-}
-
-// --------------------------------------------------------------------
-// conservativeLookahead
-// --------------------------------------------------------------------
-
-TEST(Lookahead, FollowsTheFastestCrossDomainPath)
-{
-    BusTiming t; // defaults: signal 1, arb 1, addr 1
-    EXPECT_EQ(conservativeLookahead(t), 1u);
-    t.signalCycles = 5;
-    t.arbCycles = 2;
-    t.addrCycles = 2;
-    EXPECT_EQ(conservativeLookahead(t), 4u); // arb + addr wins
-    t.arbCycles = 4;
-    EXPECT_EQ(conservativeLookahead(t), 5u); // signal wins
-}
-
-TEST(Lookahead, NeverBelowOneTick)
-{
-    BusTiming t;
-    t.signalCycles = 0;
-    EXPECT_EQ(conservativeLookahead(t), 1u);
-}
-
-// --------------------------------------------------------------------
-// SpscMailbox
-// --------------------------------------------------------------------
-
-namespace
-{
-
-CrossEvent
-seqEvent(std::uint64_t seq)
-{
-    CrossEvent ev;
-    ev.when = seq;
-    ev.srcSeq = seq;
-    return ev;
-}
-
-} // namespace
-
-TEST(SpscMailbox, PreservesFifoOrder)
-{
-    SpscMailbox mb(16);
-    for (std::uint64_t i = 0; i < 10; ++i)
-        mb.push(seqEvent(i));
-    EXPECT_FALSE(mb.empty());
-    std::vector<CrossEvent> out;
-    mb.drainTo(&out);
-    ASSERT_EQ(out.size(), 10u);
-    for (std::uint64_t i = 0; i < 10; ++i)
-        EXPECT_EQ(out[i].srcSeq, i);
-    EXPECT_TRUE(mb.empty());
-}
-
-TEST(SpscMailbox, OverflowSpillKeepsOrderAndReArms)
-{
-    SpscMailbox mb(4);
-    // Overflow the 4-slot ring by a lot; order must survive the spill.
-    for (std::uint64_t i = 0; i < 50; ++i)
-        mb.push(seqEvent(i));
-    std::vector<CrossEvent> out;
-    mb.drainTo(&out);
-    ASSERT_EQ(out.size(), 50u);
-    for (std::uint64_t i = 0; i < 50; ++i)
-        EXPECT_EQ(out[i].srcSeq, i);
-
-    // After a full drain the ring re-arms: a second burst must again
-    // come out in push order (this is the re-arm race regression — a
-    // ring push must never overtake a leftover spill entry).
-    for (std::uint64_t i = 100; i < 110; ++i)
-        mb.push(seqEvent(i));
-    out.clear();
-    mb.drainTo(&out);
-    ASSERT_EQ(out.size(), 10u);
-    for (std::uint64_t i = 0; i < 10; ++i)
-        EXPECT_EQ(out[i].srcSeq, 100 + i);
-}
-
-TEST(SpscMailbox, ConcurrentProducerConsumerKeepsOrder)
-{
-    // The TSan target: one producer races one consumer through ring
-    // wraps and spills; every drained batch must be in sequence order
-    // with nothing lost.
-    SpscMailbox mb(64);
-    constexpr std::uint64_t kTotal = 50000;
-    std::thread producer([&mb] {
-        for (std::uint64_t i = 0; i < kTotal; ++i)
-            mb.push(seqEvent(i));
-    });
-    std::vector<CrossEvent> got;
-    got.reserve(kTotal);
-    while (got.size() < kTotal)
-        mb.drainTo(&got);
-    producer.join();
-    ASSERT_EQ(got.size(), kTotal);
-    for (std::uint64_t i = 0; i < kTotal; ++i)
-        ASSERT_EQ(got[i].srcSeq, i) << "reordered at " << i;
-    EXPECT_TRUE(mb.empty());
 }
 
 // --------------------------------------------------------------------
@@ -226,64 +124,6 @@ TEST(ParallelScheduler, RunsAllShardsToCompletion)
         // Shard a's last event ran at tick 5000.
         EXPECT_EQ(r.finalTick, 5000u) << threads;
     }
-}
-
-TEST(ParallelScheduler, CrossShardMailDeliversInDeterministicOrder)
-{
-    // Two source shards post into shard 2 at the same tick; delivery
-    // order must be (when, pri, srcDomain, srcSeq) regardless of post
-    // order.  Posts happen in the barrier hook (the coordinator's
-    // context, where posting is always legal), timestamped inside the
-    // next window so they execute before the run completes.
-    SpinShard t0, t1, t2;
-    t0.target = 2000;
-    t1.target = 2000;
-    t2.target = 1; // finishes via the delivered events instead
-    t0.arm();
-    t1.arm();
-    std::vector<int> order;
-    bool posted = false;
-    ParallelScheduler *live = nullptr;
-    ParallelScheduler::Options o;
-    o.threads = 4;
-    o.window = 128;
-    o.lookahead = 1;
-    o.onWindow = [&live, &posted, &order](Tick windowEnd, double) {
-        if (posted || !live)
-            return false;
-        posted = true;
-        Tick when = windowEnd + 64;
-        // Deliberately scrambled post order across pairs and ticks.
-        live->post(1, 2, when, EventPri::Default,
-                   [&order] { order.push_back(10); });
-        live->post(1, 2, when, EventPri::Default,
-                   [&order] { order.push_back(11); });
-        live->post(0, 2, when + 1, EventPri::Default,
-                   [&order] { order.push_back(99); });
-        live->post(0, 2, when, EventPri::Default,
-                   [&order] { order.push_back(0); });
-        live->post(0, 2, when, EventPri::Arbitrate,
-                   [&order] { order.push_back(1); });
-        return false;
-    };
-    std::vector<ParallelScheduler::Shard> shards = {
-        shardFor(&t0), shardFor(&t1), shardFor(&t2)};
-    shards[2].done = [&order] { return order.size() >= 5; };
-    shards[2].retired = [&order] { return double(order.size()); };
-    ParallelScheduler sched(std::move(shards), o);
-    live = &sched;
-    ParallelScheduler::Result r = sched.run();
-    EXPECT_TRUE(r.completed);
-    // Sort key is (when, pri, srcDomain, srcSeq): at the same tick
-    // every Default-priority event (across all sources, ordered by
-    // source then sequence) precedes the Arbitrate one, and the when+1
-    // event runs last regardless of post order.
-    ASSERT_EQ(order.size(), 5u);
-    EXPECT_EQ(order[0], 0);  // when, Default, src 0
-    EXPECT_EQ(order[1], 10); // when, Default, src 1, seq 0
-    EXPECT_EQ(order[2], 11); // when, Default, src 1, seq 1
-    EXPECT_EQ(order[3], 1);  // when, Arbitrate, src 0
-    EXPECT_EQ(order[4], 99); // when + 1
 }
 
 TEST(ParallelScheduler, AbortFlagStopsTheRun)
