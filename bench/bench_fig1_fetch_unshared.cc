@@ -18,7 +18,7 @@ main()
     banner("Figure 1: Fetching Unshared Data on Read Miss",
            "read miss, no hit line -> assume write privilege");
 
-    Scenario s(figOpts());
+    Scenario s(figConfig(), true);
     const Addr X = 0x1000;
 
     s.note("-- processor 0 reads X; no other cache has the block --");

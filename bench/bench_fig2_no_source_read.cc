@@ -19,7 +19,7 @@ main()
            "hit line raised, no source -> memory provides, read "
            "privilege");
 
-    Scenario s(figOpts());
+    Scenario s(figConfig(), true);
     const Addr X = 0x1000;
 
     s.note("-- cache 1 holds a read copy whose source was lost "

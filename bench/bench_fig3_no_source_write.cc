@@ -17,7 +17,7 @@ main()
            "no source -> memory provides; write privilege; others "
            "invalidated while fetching");
 
-    Scenario s(figOpts());
+    Scenario s(figConfig(), true);
     const Addr X = 0x1000;
 
     s.note("-- caches 1 and 2 hold read copies, no source --");

@@ -19,7 +19,7 @@ main()
            "source provides block + clean/dirty status; no flush; "
            "source status moves to the fetcher");
 
-    Scenario s(figOpts());
+    Scenario s(figConfig(), true);
     const Addr X = 0x1000;
 
     s.note("-- processor 0 creates a dirty block --");

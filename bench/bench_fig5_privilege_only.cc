@@ -17,7 +17,7 @@ main()
     banner("Figure 5: Request Only For Write Privilege",
            "write hit on a read copy -> one-cycle invalidation, no data");
 
-    Scenario s(figOpts());
+    Scenario s(figConfig(), true);
     const Addr X = 0x1000;
 
     s.note("-- both caches obtain read copies --");

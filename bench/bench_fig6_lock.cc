@@ -22,7 +22,7 @@ main()
 
     const Addr X = 0x1000;
     {
-        Scenario s(figOpts());
+        Scenario s(figConfig(), true);
         s.note("-- cold lock: processor 0 lock-reads X (miss) --");
         double tx = s.system().bus().transactions.value();
         AccessResult r = s.run(0, lockRd(X));
@@ -35,7 +35,7 @@ main()
                 "exactly one bus transaction: the lock rode the fetch");
     }
     {
-        Scenario s(figOpts());
+        Scenario s(figConfig(), true);
         s.note("-- warm lock: the block is already owned --");
         s.run(0, wr(X, 5));
         s.clearLog();

@@ -20,7 +20,7 @@ main()
            "request denied; locker records waiter; requester arms its "
            "busy-wait register");
 
-    Scenario s(figOpts());
+    Scenario s(figConfig(), true);
     const Addr X = 0x1000;
 
     s.note("-- processor 0 locks X --");

@@ -19,7 +19,7 @@ main()
 
     const Addr X = 0x1000;
     {
-        Scenario s(figOpts());
+        Scenario s(figConfig(), true);
         s.note("-- no waiter: lock then unlock --");
         s.run(0, lockRd(X));
         s.clearLog();
@@ -34,7 +34,7 @@ main()
                 "counted as a zero-time unlock");
     }
     {
-        Scenario s(figOpts());
+        Scenario s(figConfig(), true);
         s.note("-- with waiter: the unlock is broadcast --");
         s.run(0, lockRd(X));
         s.tryRun(1, lockRd(X));

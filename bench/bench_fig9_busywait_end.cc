@@ -21,7 +21,7 @@ main()
            "priority arbitration; winner locks in lock-waiter state and "
            "interrupts; losers stay quiet");
 
-    Scenario s(figOpts(3));
+    Scenario s(figConfig(3), true);
     const Addr X = 0x1000;
 
     s.note("-- processor 0 locks X; processors 1 and 2 queue up --");

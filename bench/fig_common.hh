@@ -19,16 +19,15 @@ namespace csync
 namespace fig
 {
 
-inline Scenario::Options
-figOpts(unsigned processors = 3)
+inline SystemConfig
+figConfig(unsigned processors = 3)
 {
-    Scenario::Options o;
-    o.protocol = "bitar";
-    o.processors = processors;
-    o.blockWords = 4;
-    o.frames = 16;
-    o.collectTrace = true;
-    return o;
+    SystemConfig c;
+    c.protocol = "bitar";
+    c.numProcessors = processors;
+    c.cache.geom.blockWords = 4;
+    c.cache.geom.frames = 16;
+    return c;
 }
 
 inline void

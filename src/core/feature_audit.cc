@@ -13,14 +13,14 @@ namespace
 
 constexpr Addr probeAddr = 0x1000;
 
-Scenario::Options
+SystemConfig
 probeOpts(const std::string &proto, unsigned procs = 4)
 {
-    Scenario::Options o;
-    o.protocol = proto;
-    o.processors = procs;
-    o.collectTrace = false;
-    return o;
+    SystemConfig c;
+    c.protocol = proto;
+    c.numProcessors = procs;
+    c.cache.geom.frames = 16;
+    return c;
 }
 
 MemOp
@@ -171,38 +171,23 @@ probeContention(const std::string &proto, FeatureAudit &a)
                                               : LockAlg::TestTestSet;
     bool has_rmw = protocol->features().atomicRmw ||
                    protocol->supportsLockOps();
-    if (!has_rmw) {
-        // No serialized RMW: run a read/write-only coherence shakeout.
-        SystemConfig cfg;
-        cfg.protocol = proto;
-        cfg.numProcessors = 3;
-        cfg.cache.geom.frames = 32;
-        cfg.cache.geom.blockWords = 4;
-        System sys(cfg);
-        // Simple alternating-writer ping-pong through the checker.
-        for (int round = 0; round < 30; ++round) {
-            unsigned p = round % 3;
-            bool ok = true;
-            AccessResult r;
-            sys.cache(p).access(wr(probeAddr, Word(round)),
-                                [&](const AccessResult &res) {
-                                    r = res;
-                                    ok = true;
-                                });
-            sys.eventq().run();
-            (void)ok;
-        }
-        a.valuesCoherent = sys.checker().violations() == 0;
-        a.rmwSerialized = false;
-        a.efficientBusyWait = false;
-        return;
-    }
-
     SystemConfig cfg;
     cfg.protocol = proto;
     cfg.numProcessors = 3;
     cfg.cache.geom.frames = 32;
     cfg.cache.geom.blockWords = 4;
+    if (!has_rmw) {
+        // No serialized RMW: run a read/write-only coherence shakeout,
+        // a simple alternating-writer ping-pong through the checker.
+        Scenario s(cfg);
+        for (int round = 0; round < 30; ++round)
+            s.tryRun(round % 3, wr(probeAddr, Word(round)));
+        a.valuesCoherent = s.system().checker().violations() == 0;
+        a.rmwSerialized = false;
+        a.efficientBusyWait = false;
+        return;
+    }
+
     System sys(cfg);
 
     const std::uint64_t iters = 25;

@@ -26,15 +26,15 @@ namespace
 
 constexpr Addr X = 0x1000;
 
-Scenario::Options
+SystemConfig
 enumOpts(const std::string &protocol)
 {
-    Scenario::Options o;
-    o.protocol = protocol;
-    o.processors = 2;
-    o.collectTrace = false;
-    o.enableChecker = false;
-    return o;
+    SystemConfig c;
+    c.protocol = protocol;
+    c.numProcessors = 2;
+    c.cache.geom.frames = 16;
+    c.enableChecker = false;
+    return c;
 }
 
 void

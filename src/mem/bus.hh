@@ -119,8 +119,8 @@ class Bus : public SimObject
      * Install the cluster-boundary snoop gate (hierarchical topologies;
      * see mem/snoop_gate.hh).  Null — the default, and the only state
      * flat topologies ever see — broadcasts every transaction to every
-     * client exactly as before.  The gate is owned by its
-     * CoherenceLevel and must outlive the bus's last transaction.
+     * client exactly as before.  The gate is owned by the System
+     * and must outlive the bus's last transaction.
      */
     void setSnoopGate(SnoopGate *gate) { gate_ = gate; }
 

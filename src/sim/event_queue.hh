@@ -232,10 +232,11 @@ class EventQueue
 
     /**
      * Run at most @p max_events events whose tick is <= @p until.  The
-     * bounded primitive of the sharded parallel engine: unlike run(),
-     * now() is never advanced past the last executed event, so a
-     * shard's clock always names real work — the window bookkeeping
-     * lives in the scheduler, not in the queue.
+     * bounded primitive of the sharded parallel engine and of the
+     * directed driver's settle: unlike run(), now() is never advanced
+     * past the last executed event, so a shard's clock always names
+     * real work — the window bookkeeping lives in the scheduler, not in
+     * the queue.
      *
      * @return Number of events executed; a return < @p max_events
      *         means the queue holds nothing at or before @p until.

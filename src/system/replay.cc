@@ -93,66 +93,39 @@ ReplayVerdict::describe() const
 }
 
 TraceReplayer::TraceReplayer(const DirectedTrace &shape)
-    : shape_(shape), recorded_(shape)
+    : recorded_(shape), scenario_(shape.toConfig())
 {
     recorded_.ops.clear();
-    SystemConfig cfg = shape_.toConfig();
-    cfg.validate();
-    sys_ = std::make_unique<System>(cfg);
-    slots_.resize(shape_.processors);
 }
 
 Addr
 TraceReplayer::fillerAddr(Addr block_addr) const
 {
-    Addr block_bytes = Addr(shape_.blockWords) * bytesPerWord;
+    Addr block_bytes = Addr(recorded_.blockWords) * bytesPerWord;
     // One whole cache "turn" away: same set index in a direct-mapped
     // cache, so fetching it displaces the target block.
     return (block_addr & ~(block_bytes - 1)) +
-           Addr(shape_.frames) * block_bytes;
+           Addr(recorded_.frames) * block_bytes;
 }
 
 void
 TraceReplayer::noteBlock(Addr block_addr)
 {
-    Addr b = sys_->memory().blockAlign(block_addr);
+    Addr b = system().memory().blockAlign(block_addr);
     auto it = std::lower_bound(blocks_.begin(), blocks_.end(), b);
     if (it == blocks_.end() || *it != b)
         blocks_.insert(it, b);
 }
 
-void
-TraceReplayer::refresh(unsigned cache)
-{
-    Slot &slot = slots_.at(cache);
-    if (slot.issued && slot.completed)
-        slot.issued = false;
-}
-
 bool
-TraceReplayer::busy(unsigned cache)
+TraceReplayer::pendingCompleted(unsigned cache, Word *value) const
 {
-    refresh(cache);
-    return slots_.at(cache).issued;
-}
-
-bool
-TraceReplayer::pendingCompleted(unsigned cache, Word *value)
-{
-    const Slot &slot = slots_.at(cache);
-    if (slot.completed && value)
-        *value = slot.result.value;
-    return slot.completed;
-}
-
-bool
-TraceReplayer::settle()
-{
-    EventQueue &eq = sys_->eventq();
-    eq.run(eq.now() + kSettleBudget);
-    if (!eq.empty())
-        stalled_ = true;
-    return !stalled_;
+    AccessResult r;
+    if (!scenario_.pendingCompleted(cache, &r))
+        return false;
+    if (value)
+        *value = r.value;
+    return true;
 }
 
 OpOutcome
@@ -160,12 +133,13 @@ TraceReplayer::step(const DirectedOp &op)
 {
     recorded_.ops.push_back(op);
     OpOutcome out;
-    sim_assert(op.cache < sys_->numCaches(),
-               "trace op on cache %u of %u", op.cache, sys_->numCaches());
+    System &sys = system();
+    sim_assert(op.cache < recorded_.processors, "trace op on cache %u of %u",
+               op.cache, recorded_.processors);
 
     noteBlock(op.addr);
 
-    if (stalled_ || busy(op.cache)) {
+    if (scenario_.stalled() || busy(op.cache)) {
         ++skipped_;
         return out;
     }
@@ -174,8 +148,8 @@ TraceReplayer::step(const DirectedOp &op)
     // re-locking one it does) is a *program* bug the cache treats as
     // fatal, not a protocol bug.  Skip such ops so arbitrary (fuzzed or
     // hand-written) traces stay safe to replay.
-    Addr blk = sys_->memory().blockAlign(op.addr);
-    NodeId holder = sys_->checker().lockHolder(blk);
+    Addr blk = sys.memory().blockAlign(op.addr);
+    NodeId holder = sys.checker().lockHolder(blk);
     if (op.kind == DirectedKind::UnlockWrite && holder != NodeId(op.cache)) {
         ++skipped_;
         return out;
@@ -199,8 +173,9 @@ TraceReplayer::step(const DirectedOp &op)
         break;
       case DirectedKind::Evict:
         // Displace the block through the real eviction path by reading
-        // the conflicting filler block.
-        sim_assert(shape_.ways == 1,
+        // the conflicting filler block.  traceFromJson rejects evict
+        // ops on other shapes; this guards programmatic callers.
+        sim_assert(recorded_.ways == 1,
                    "evict ops need a direct-mapped trace shape");
         mop.type = OpType::Read;
         mop.addr = fillerAddr(op.addr);
@@ -209,52 +184,45 @@ TraceReplayer::step(const DirectedOp &op)
         break;
     }
 
-    Slot &slot = slots_.at(op.cache);
-    slot.issued = true;
-    slot.completed = false;
-    // Issue through the cache port on the switch that homes the
-    // address, the way a Processor would (on the single bus, port 0).
-    unsigned home = unsigned(sys_->addressMap().switchFor(mop.addr));
-    sys_->cache(op.cache, home).access(mop,
-                                       [&slot](const AccessResult &r) {
-        slot.completed = true;
-        slot.result = r;
-    });
-    settle();
-
+    // Ops issue on a fixed cadence of one settle window each: the clock
+    // idles to the window's end, so an op's issue tick (which checker
+    // violation text reports) depends only on how many ops were issued
+    // before it, not on how fast they drained.
+    Tick window_end = sys.now() + Scenario::kSettleBudget;
+    AccessResult r;
     out.issued = true;
-    out.completed = slot.completed;
-    out.pending = !slot.completed;
-    if (slot.completed) {
-        out.value = slot.result.value;
-        slot.issued = false;
-    }
+    out.completed = scenario_.tryRun(op.cache, mop, &r);
+    out.pending = !out.completed;
+    if (out.completed)
+        out.value = r.value;
+    sys.eventq().run(window_end);
     return out;
 }
 
 ReplayVerdict
 TraceReplayer::verdict()
 {
-    settle();
+    scenario_.settle();
+    System &sys = system();
     ReplayVerdict v;
     v.skippedOps = skipped_;
-    v.stalled = stalled_;
-    v.checkerViolations = sys_->checker().violations();
+    v.stalled = scenario_.stalled();
+    v.checkerViolations = sys.checker().violations();
     std::string why;
-    v.invariantViolations = sys_->checkStateInvariants(&why);
+    v.invariantViolations = sys.checkStateInvariants(&why);
 
     std::string stuck;
-    if (!stalled_) {
+    if (!v.stalled) {
         // Lock-waiter liveness: at quiescence an armed busy-wait
         // register must be waiting on a lock somebody still holds —
         // otherwise the wakeup was lost and the waiter spins forever.
-        for (unsigned i = 0; i < sys_->numCaches(); ++i) {
-            Cache &c = sys_->cache(i);
+        for (unsigned i = 0; i < sys.numCaches(); ++i) {
+            Cache &c = sys.cache(i);
             if (!c.busyWaitArmed())
                 continue;
             Addr blk = c.busyWaitAddr();
-            if (sys_->checker().lockHolder(blk) == invalidNode &&
-                !sys_->memory().memLocked(blk)) {
+            if (sys.checker().lockHolder(blk) == invalidNode &&
+                !sys.memory().memLocked(blk)) {
                 v.waiterStuck = true;
                 if (stuck.empty()) {
                     stuck = csprintf(
@@ -267,13 +235,13 @@ TraceReplayer::verdict()
     }
 
     if (v.checkerViolations)
-        v.firstProblem = sys_->checker().firstViolation();
+        v.firstProblem = sys.checker().firstViolation();
     else if (v.invariantViolations)
         v.firstProblem = why;
     else if (v.stalled)
         v.firstProblem = csprintf(
             "stalled: event queue failed to drain within %llu ticks",
-            (unsigned long long)kSettleBudget);
+            (unsigned long long)Scenario::kSettleBudget);
     else if (v.waiterStuck)
         v.firstProblem = stuck;
     return v;
@@ -282,9 +250,10 @@ TraceReplayer::verdict()
 std::string
 TraceReplayer::digest()
 {
+    System &sys = system();
     std::string d;
-    for (unsigned i = 0; i < sys_->numCaches(); ++i) {
-        Cache &c = sys_->cache(i);
+    for (unsigned i = 0; i < sys.numCaches(); ++i) {
+        Cache &c = sys.cache(i);
         d += csprintf("c%u[", i);
         for (Addr b : blocks_) {
             const Frame *f = c.peekFrame(b);
@@ -304,7 +273,7 @@ TraceReplayer::digest()
         // The digest walks every cache *port* (numCaches is processors
         // x switches); the replayer's issue slots are per processor, so
         // only the first port block consults them.
-        if (i < shape_.processors && busy(i))
+        if (i < recorded_.processors && busy(i))
             d += "busy";
         for (Addr b : blocks_) {
             if (c.holdsPurgedLock(b))
@@ -317,38 +286,38 @@ TraceReplayer::digest()
     d += "m[";
     for (Addr b : blocks_) {
         d += csprintf("%llx:", (unsigned long long)b);
-        for (Word w : sys_->memory().peekBlock(b))
+        for (Word w : sys.memory().peekBlock(b))
             d += csprintf("%llx,", (unsigned long long)w);
-        if (sys_->memory().cacheOwned(b))
+        if (sys.memory().cacheOwned(b))
             d += "o";
-        if (sys_->memory().memLocked(b)) {
-            d += csprintf("L%d", sys_->memory().memLockHolder(b));
-            if (sys_->memory().memWaiter(b))
+        if (sys.memory().memLocked(b)) {
+            d += csprintf("L%d", sys.memory().memLockHolder(b));
+            if (sys.memory().memWaiter(b))
                 d += "w";
         }
         d += ";";
     }
     d += "]k[";
     for (Addr b : blocks_) {
-        for (unsigned w = 0; w < shape_.blockWords; ++w) {
+        for (unsigned w = 0; w < recorded_.blockWords; ++w) {
             Addr wa = b + Addr(w) * bytesPerWord;
             d += csprintf("%llx,",
                           (unsigned long long)
-                              sys_->checker().expectedValue(wa));
+                              sys.checker().expectedValue(wa));
         }
-        d += csprintf("h%d;", sys_->checker().lockHolder(b));
+        d += csprintf("h%d;", sys.checker().lockHolder(b));
     }
     d += "]";
     // Inclusive L2 tags are architectural on clustered machines: they
     // steer future snoop forwarding, so two states that differ only in
     // tag residency are not interchangeable for further exploration.
-    if (sys_->numSharedCaches()) {
+    if (sys.numSharedCaches()) {
         d += "l2[";
-        for (unsigned c = 0; c < sys_->numSharedCaches(); ++c) {
+        for (unsigned c = 0; c < sys.numSharedCaches(); ++c) {
             d += csprintf("%u:", c);
             for (Addr b : blocks_) {
-                std::size_t home = sys_->addressMap().switchFor(b);
-                if (sys_->sharedCache(c).tagPresent(home, b))
+                std::size_t home = sys.addressMap().switchFor(b);
+                if (sys.sharedCache(c).tagPresent(home, b))
                     d += csprintf("%llx,", (unsigned long long)b);
             }
             d += ";";
@@ -468,6 +437,11 @@ traceFromJson(const harness::Json &j, DirectedTrace *out, std::string *err)
         op.value = Word(o["value"].asNumber(0));
         if (op.cache >= t.processors)
             return fail(csprintf("trace: op %zu: cache out of range", i));
+        if (op.kind == DirectedKind::Evict && t.ways != 1) {
+            return fail(csprintf("trace: op %zu: evict needs a "
+                                 "direct-mapped shape (ways 1, not %u)",
+                                 i, t.ways));
+        }
         t.ops.push_back(op);
     }
     *out = std::move(t);

@@ -3,24 +3,23 @@
  * Directed-trace record/replay: the wire format between the model
  * checker (`src/mc/`), the `csync-mc` CLI, and the tests.  A
  * DirectedTrace is a system shape plus an ordered list of per-cache
- * operations; a TraceReplayer drives the ops through a real System one
- * at a time (settling the event queue between steps, with a bounded
- * budget so ablated configurations that livelock surface as a "stalled"
- * verdict instead of hanging), and renders a ReplayVerdict from the
- * value checker, the structural invariant scan, and a lock-waiter
- * liveness check.  Any trace the explorer or fuzzer flags can be
- * serialized to JSON and replayed bit-identically later.
+ * operations; a TraceReplayer drives the ops one at a time through a
+ * Scenario (whose bounded settle makes ablated configurations that
+ * livelock surface as a "stalled" verdict instead of hanging), and
+ * renders a ReplayVerdict from the value checker, the structural
+ * invariant scan, and a lock-waiter liveness check.  Any trace the
+ * explorer or fuzzer flags can be serialized to JSON and replayed
+ * bit-identically later.
  */
 
 #ifndef CSYNC_SYSTEM_REPLAY_HH
 #define CSYNC_SYSTEM_REPLAY_HH
 
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "harness/json.hh"
-#include "system/system.hh"
+#include "system/scenario.hh"
 
 namespace csync
 {
@@ -123,20 +122,17 @@ struct ReplayVerdict
 };
 
 /**
- * Replays DirectedOps through a live System, one at a time.
+ * Replays DirectedOps through a Scenario, one at a time: translates each
+ * op, filters lock-discipline violations, and judges the result.
  */
 class TraceReplayer
 {
   public:
-    /** Event-queue budget per settle, in ticks (generous: single ops
-     *  complete in tens of ticks; only livelocks exhaust it). */
-    static constexpr Tick kSettleBudget = 100000;
-
     /** Build a fresh system of @p shape; @p shape.ops is ignored (feed
      *  ops through step()). */
     explicit TraceReplayer(const DirectedTrace &shape);
 
-    System &system() { return *sys_; }
+    System &system() { return scenario_.system(); }
 
     /** Everything fed to step() so far, as a replayable trace. */
     const DirectedTrace &recorded() const { return recorded_; }
@@ -148,13 +144,10 @@ class TraceReplayer
     OpOutcome step(const DirectedOp &op);
 
     /** True while @p cache has an incomplete (busy-waiting) op. */
-    bool busy(unsigned cache);
+    bool busy(unsigned cache) const { return scenario_.busy(cache); }
 
     /** Did an earlier pending op on @p cache complete? */
-    bool pendingCompleted(unsigned cache, Word *value = nullptr);
-
-    /** Run the event queue to quiescence (bounded).  False on stall. */
-    bool settle();
+    bool pendingCompleted(unsigned cache, Word *value = nullptr) const;
 
     /** Settle and evaluate checker + invariants + waiter liveness. */
     ReplayVerdict verdict();
@@ -172,23 +165,12 @@ class TraceReplayer
     std::string digest();
 
   private:
-    struct Slot
-    {
-        bool issued = false;
-        bool completed = false;
-        AccessResult result;
-    };
-
-    void refresh(unsigned cache);
     void noteBlock(Addr block_addr);
 
-    DirectedTrace shape_;
     DirectedTrace recorded_;
-    std::unique_ptr<System> sys_;
-    std::vector<Slot> slots_;
+    Scenario scenario_;
     /** Block-aligned addresses the trace has touched (sorted). */
     std::vector<Addr> blocks_;
-    bool stalled_ = false;
     unsigned skipped_ = 0;
 };
 

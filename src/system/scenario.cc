@@ -3,21 +3,11 @@
 namespace csync
 {
 
-Scenario::Scenario(const Options &opts)
+Scenario::Scenario(const SystemConfig &cfg, bool narrate)
+    : sys_(std::make_unique<System>(cfg)), slots_(cfg.numProcessors),
+      narrate_(narrate)
 {
-    SystemConfig cfg;
-    cfg.name = "scenario";
-    cfg.protocol = opts.protocol;
-    cfg.numProcessors = opts.processors;
-    cfg.cache.geom.frames = opts.frames;
-    cfg.cache.geom.ways = opts.ways;
-    cfg.cache.geom.blockWords = opts.blockWords;
-    cfg.timing = opts.timing;
-    cfg.enableChecker = opts.enableChecker;
-    sys_ = std::make_unique<System>(cfg);
-    pending_.resize(opts.processors);
-
-    if (opts.collectTrace) {
+    if (narrate_) {
         Trace::enableAll();
         Trace::setSink([this](std::uint64_t when, TraceFlag flag,
                               const std::string &who,
@@ -32,13 +22,15 @@ Scenario::Scenario(const Options &opts)
 
 Scenario::~Scenario()
 {
-    Trace::reset();
+    if (narrate_)
+        Trace::reset();
 }
 
 void
 Scenario::note(const std::string &line)
 {
-    log_.push_back("       --      --           " + line);
+    if (narrate_)
+        log_.push_back("       --      --           " + line);
 }
 
 AccessResult
@@ -55,38 +47,51 @@ Scenario::run(unsigned p, const MemOp &op)
 bool
 Scenario::tryRun(unsigned p, const MemOp &op, AccessResult *out)
 {
-    PendingOp &slot = pending_.at(p);
-    sim_assert(!slot.issued || slot.completed,
-               "scenario: processor %u already has a pending op", p);
+    issue(p, op);
+    settle();
+    return pendingCompleted(p, out);
+}
+
+void
+Scenario::issue(unsigned p, const MemOp &op)
+{
+    Slot &slot = slots_.at(p);
+    sim_assert(!busy(p), "scenario: processor %u already has a pending op",
+               p);
     slot.issued = true;
     slot.completed = false;
 
-    note(csprintf("processor %u issues %s @%llx%s", p,
-                  opTypeName(op.type), (unsigned long long)op.addr,
-                  op.type == OpType::Write ||
-                          op.type == OpType::UnlockWrite ||
-                          op.type == OpType::WriteNoFetch ||
-                          op.type == OpType::Rmw
-                      ? csprintf(" value=%llu",
-                                 (unsigned long long)op.value)
-                            .c_str()
-                      : ""));
+    if (narrate_) {
+        bool writes = op.type == OpType::Write ||
+                      op.type == OpType::UnlockWrite ||
+                      op.type == OpType::WriteNoFetch ||
+                      op.type == OpType::Rmw;
+        note(csprintf("processor %u issues %s @%llx%s", p,
+                      opTypeName(op.type), (unsigned long long)op.addr,
+                      writes ? csprintf(" value=%llu",
+                                        (unsigned long long)op.value)
+                                   .c_str()
+                             : ""));
+    }
 
-    sys_->cache(p).access(op, [&slot](const AccessResult &r) {
+    unsigned home = unsigned(sys_->addressMap().switchFor(op.addr));
+    sys_->cache(p, home).access(op, [&slot](const AccessResult &r) {
         slot.completed = true;
         slot.result = r;
     });
-    settle();
-
-    if (slot.completed && out)
-        *out = slot.result;
-    return slot.completed;
 }
 
 bool
-Scenario::pendingCompleted(unsigned p, AccessResult *out)
+Scenario::busy(unsigned p) const
 {
-    PendingOp &slot = pending_.at(p);
+    const Slot &slot = slots_.at(p);
+    return slot.issued && !slot.completed;
+}
+
+bool
+Scenario::pendingCompleted(unsigned p, AccessResult *out) const
+{
+    const Slot &slot = slots_.at(p);
     if (slot.completed && out)
         *out = slot.result;
     return slot.completed;
@@ -95,7 +100,10 @@ Scenario::pendingCompleted(unsigned p, AccessResult *out)
 void
 Scenario::settle()
 {
-    sys_->eventq().run();
+    EventQueue &eq = sys_->eventq();
+    eq.runBounded(eq.now() + kSettleBudget, ~std::uint64_t(0));
+    if (!eq.empty())
+        stalled_ = true;
 }
 
 } // namespace csync

@@ -32,8 +32,6 @@ System::System(const SystemConfig &cfg)
 
     for (std::size_t k = 0; k < switches.size(); ++k) {
         const SwitchSpec &sw = switches[k];
-        levels_.push_back(std::make_unique<CoherenceLevel>(
-            sw.name, cfg_.protocol, cfg_.adaptive));
         Port port;
         port.memory = std::make_unique<Memory>(
             multi ? sw.name + ".memory" : "memory", &eq_,
@@ -55,7 +53,11 @@ System::System(const SystemConfig &cfg)
         }
 
         for (unsigned i = 0; i < p; ++i) {
-            auto protocol = levels_.back()->makeInstance();
+            // Every switch runs the configured protocol, one tuned
+            // instance per cache port.
+            auto protocol = makeProtocol(cfg_.protocol);
+            if (auto *ap = dynamic_cast<AdaptiveProtocol *>(protocol.get()))
+                ap->setTuning(cfg_.adaptive);
             CacheConfig cc = cfg_.cache;
             if (cfg_.directoryFromProtocol)
                 cc.directory = protocol->features().directory;
@@ -114,7 +116,7 @@ System::buildHierarchy()
             topo.switches[k].name, k, &topo, p, l2s, rootBus_.get(),
             penalty, &root_);
         ports_[k].bus->setSnoopGate(gate.get());
-        levels_[k]->setGate(std::move(gate));
+        gates_.push_back(std::move(gate));
     }
 }
 

@@ -18,7 +18,6 @@
 
 #include "cache/cache.hh"
 #include "cache/shared_cache.hh"
-#include "coherence/level.hh"
 #include "fault/watchdog.hh"
 #include "mem/bus.hh"
 #include "mem/io_device.hh"
@@ -83,9 +82,6 @@ class System
     {
         return *ports_.at(k).caches.at(proc);
     }
-
-    /** The coherence level (protocol domain) of switch @p k. */
-    CoherenceLevel &level(unsigned k) { return *levels_.at(k); }
 
     /** Shared L2s, one per cluster (empty on flat topologies). */
     unsigned numSharedCaches() const { return unsigned(l2s_.size()); }
@@ -219,10 +215,9 @@ class System
     Checker checker_;
     ProgressWatchdog watchdog_;
     AddressMap map_;
-    /** One coherence level per switch; on clustered topologies each
-     *  owns its boundary gate (referenced raw by the bus, so the
-     *  levels must outlive the ports). */
-    std::vector<std::unique_ptr<CoherenceLevel>> levels_;
+    /** Per-switch boundary snoop gates (clustered topologies; the
+     *  buses hold them raw, so they must outlive the ports). */
+    std::vector<std::unique_ptr<ClusterGate>> gates_;
     /** Per-cluster shared L2 directories (clustered topologies). */
     std::vector<std::unique_ptr<SharedCache>> l2s_;
     /** Root-bus traffic model (clustered topologies). */

@@ -17,12 +17,12 @@ namespace
 
 constexpr Addr X = 0x1000;
 
-Scenario::Options
+SystemConfig
 timedOpts(const std::string &proto, const BusTiming &t)
 {
-    Scenario::Options o = opts(proto);
-    o.timing = t;
-    return o;
+    SystemConfig c = opts(proto);
+    c.timing = t;
+    return c;
 }
 
 } // namespace

@@ -50,18 +50,18 @@ wnf(Addr a, Word v)
     return MemOp{OpType::WriteNoFetch, a, v, false};
 }
 
-inline Scenario::Options
+/** A small directed-test machine (3 caches of 16 four-word frames). */
+inline SystemConfig
 opts(const std::string &protocol, unsigned procs = 3,
      unsigned block_words = 4, unsigned frames = 16, unsigned ways = 0)
 {
-    Scenario::Options o;
-    o.protocol = protocol;
-    o.processors = procs;
-    o.blockWords = block_words;
-    o.frames = frames;
-    o.ways = ways;
-    o.collectTrace = false;
-    return o;
+    SystemConfig c;
+    c.protocol = protocol;
+    c.numProcessors = procs;
+    c.cache.geom.blockWords = block_words;
+    c.cache.geom.frames = frames;
+    c.cache.geom.ways = ways;
+    return c;
 }
 
 } // namespace test

@@ -21,7 +21,8 @@ constexpr Addr X = 0x1000;
 struct IOTest : public ::testing::Test
 {
     SystemConfig cfg;
-    std::unique_ptr<System> sys;
+    std::unique_ptr<Scenario> s;
+    System *sys = nullptr;
 
     void
     build(const std::string &proto)
@@ -31,20 +32,15 @@ struct IOTest : public ::testing::Test
         cfg.cache.geom.frames = 16;
         cfg.cache.geom.blockWords = 4;
         cfg.withIODevice = true;
-        sys = std::make_unique<System>(cfg);
+        s = std::make_unique<Scenario>(cfg);
+        sys = &s->system();
     }
 
     AccessResult
     op(unsigned p, const MemOp &m)
     {
         AccessResult out;
-        bool done = false;
-        sys->cache(p).access(m, [&](const AccessResult &r) {
-            out = r;
-            done = true;
-        });
-        sys->eventq().run();
-        EXPECT_TRUE(done);
+        EXPECT_TRUE(s->tryRun(p, m, &out));
         return out;
     }
 };
@@ -150,16 +146,12 @@ TEST_F(IOTest, LockedBlockMakesIORetry)
     EXPECT_GE(sys->io()->lockedRetries.value(), 1.0);
 
     // Release the lock; the next retry succeeds.
-    bool done = false;
-    sys->cache(0).access(wr(X, 9),
-                         [&](const AccessResult &) { done = true; });
+    s->issue(0, wr(X, 9));
     sys->eventq().run(sys->eventq().now() + 50);
-    ASSERT_TRUE(done);
-    done = false;
-    sys->cache(0).access(MemOp{OpType::UnlockWrite, X, 1, false},
-                         [&](const AccessResult &) { done = true; });
+    ASSERT_TRUE(s->pendingCompleted(0));
+    s->issue(0, MemOp{OpType::UnlockWrite, X, 1, false});
     sys->eventq().run(sys->eventq().now() + 300);
-    ASSERT_TRUE(done);
+    ASSERT_TRUE(s->pendingCompleted(0));
     ASSERT_EQ(paged.size(), 4u);
     EXPECT_EQ(paged[0], 1u);
     EXPECT_TRUE(sys->io()->idle());

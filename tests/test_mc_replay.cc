@@ -92,3 +92,23 @@ TEST(McReplayGolden, RecordedOpsMatchWhatWasFed)
     // recorded() is the replayable transcript the explorer serializes.
     EXPECT_EQ(traceToJson(r.recorded()).dump(2), doc["trace"].dump(2));
 }
+
+TEST(McReplayParse, EvictOnSetAssociativeShapeIsRejected)
+{
+    // Evict displaces a block by reading one conflicting filler, which
+    // only works direct-mapped; the parser must refuse it up front.
+    std::string err;
+    harness::Json doc = harness::Json::parse(
+        R"({"protocol": "bitar", "ways": 2, "ops": [
+              {"cache": 0, "op": "read", "addr": "0x1000"},
+              {"cache": 1, "op": "evict", "addr": "0x1000"}]})",
+        &err);
+    ASSERT_TRUE(err.empty()) << err;
+    DirectedTrace trace;
+    EXPECT_FALSE(traceFromJson(doc, &trace, &err));
+    EXPECT_NE(err.find("op 1"), std::string::npos) << err;
+    EXPECT_NE(err.find("evict"), std::string::npos) << err;
+
+    doc.set("ways", 1u);
+    EXPECT_TRUE(traceFromJson(doc, &trace, &err)) << err;
+}

@@ -368,39 +368,15 @@ TEST(BitarAblation, NormalPriorityStillCorrectJustSlower)
     // Section E.4 ablation: without the dedicated priority bit the
     // hand-off still works (losers re-arm correctly); only latency
     // under competing traffic suffers (measured in bench_sece4).
-    Scenario::Options o;
-    o.protocol = "bitar";
-    o.processors = 3;
-    o.collectTrace = false;
-    Scenario s(o);
-    s.system().cache(0).blocks();    // touch to ensure construction
-    // Rebuild with the knob off is a System-level config; emulate by
-    // asserting the default is on and the register path works either
-    // way via a dedicated system below.
-    SystemConfig cfg;
-    cfg.protocol = "bitar";
-    cfg.numProcessors = 3;
-    cfg.cache.geom.frames = 16;
-    cfg.cache.geom.blockWords = 4;
+    SystemConfig cfg = opts("bitar");
     cfg.cache.busyWaitPriority = false;
-    System sys(cfg);
-    AccessResult r0, r1;
-    bool d0 = false, d1 = false;
-    sys.cache(0).access(MemOp{OpType::LockRead, 0x1000, 0, false},
-                        [&](const AccessResult &r) { r0 = r; d0 = true; });
-    sys.eventq().run();
-    ASSERT_TRUE(d0);
-    sys.cache(1).access(MemOp{OpType::LockRead, 0x1000, 0, false},
-                        [&](const AccessResult &r) { r1 = r; d1 = true; });
-    sys.eventq().run();
-    EXPECT_FALSE(d1);
-    bool d_unlock = false;
-    sys.cache(0).access(MemOp{OpType::UnlockWrite, 0x1000, 5, false},
-                        [&](const AccessResult &) { d_unlock = true; });
-    sys.eventq().run();
-    EXPECT_TRUE(d_unlock);
-    EXPECT_TRUE(d1);
+    Scenario s(cfg);
+    ASSERT_TRUE(s.tryRun(0, lockRd(0x1000)));
+    EXPECT_FALSE(s.tryRun(1, lockRd(0x1000)));
+    EXPECT_TRUE(s.tryRun(0, unlockWr(0x1000, 5)));
+    AccessResult r1;
+    EXPECT_TRUE(s.pendingCompleted(1, &r1));
     EXPECT_EQ(r1.value, 5u);
-    EXPECT_DOUBLE_EQ(sys.bus().highPriorityGrants.value(), 0.0);
-    EXPECT_EQ(sys.checker().violations(), 0u);
+    EXPECT_DOUBLE_EQ(s.system().bus().highPriorityGrants.value(), 0.0);
+    EXPECT_EQ(s.system().checker().violations(), 0u);
 }

@@ -33,12 +33,8 @@ TEST(Scenario, TryRunReportsPendingLockOps)
 
 TEST(Scenario, CollectsTraceNarration)
 {
-    Scenario::Options o;
-    o.protocol = "bitar";
-    o.processors = 2;
-    o.collectTrace = true;
     {
-        Scenario s(o);
+        Scenario s(opts("bitar", 2), true);
         s.run(0, wr(0x1000, 1));
         EXPECT_FALSE(s.log().empty());
         bool has_grant = false;
@@ -53,6 +49,31 @@ TEST(Scenario, CollectsTraceNarration)
     }
     // Destructor must reset tracing.
     EXPECT_FALSE(Trace::enabled(TraceFlag::Bus));
+}
+
+TEST(Scenario, SilentUnlessNarrating)
+{
+    Scenario s(opts("bitar", 2));
+    s.note("hello");
+    s.run(0, wr(0x1000, 1));
+    EXPECT_TRUE(s.log().empty());
+}
+
+TEST(Scenario, LockLivelockStallsInsteadOfSpinning)
+{
+    // Without the busy-wait register the loser retries its lock request
+    // on the bus for as long as the holder keeps the lock (Q5), so the
+    // event queue never drains: the bounded settle must give up and
+    // report the stall rather than spin forever.
+    SystemConfig c = opts("bitar", 2);
+    c.cache.useBusyWaitRegister = false;
+    Scenario s(c);
+    s.run(0, lockRd(0x1000));
+    EXPECT_FALSE(s.stalled());
+    EXPECT_FALSE(s.tryRun(1, lockRd(0x1000)));
+    EXPECT_TRUE(s.stalled());
+    EXPECT_TRUE(s.busy(1));
+    EXPECT_GT(s.cache(1).lockRetries.value(), 0.0);
 }
 
 TEST(Scenario, StateInspection)

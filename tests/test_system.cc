@@ -11,7 +11,7 @@
 #include <algorithm>
 
 #include "proc/workloads/random_sharing.hh"
-#include "system/system.hh"
+#include "system/scenario.hh"
 
 using namespace csync;
 
@@ -153,20 +153,11 @@ TEST(SystemDeath, BadConfigIsFatal)
 
 TEST(System, DerivedCacheFormulas)
 {
-    System sys(cfg("illinois", 1));
-    AccessResult r;
-    auto op = [&](const MemOp &m) {
-        bool done = false;
-        sys.cache(0).access(m, [&](const AccessResult &res) {
-            r = res;
-            done = true;
-        });
-        sys.eventq().run();
-        EXPECT_TRUE(done);
-    };
-    op(MemOp{OpType::Read, 0x1000, 0, false});     // miss
-    op(MemOp{OpType::Read, 0x1000, 0, false});     // hit
-    op(MemOp{OpType::Read, 0x1008, 0, false});     // hit
+    Scenario s(cfg("illinois", 1));
+    System &sys = s.system();
+    EXPECT_TRUE(s.tryRun(0, MemOp{OpType::Read, 0x1000, 0, false}));  // miss
+    EXPECT_TRUE(s.tryRun(0, MemOp{OpType::Read, 0x1000, 0, false}));  // hit
+    EXPECT_TRUE(s.tryRun(0, MemOp{OpType::Read, 0x1008, 0, false}));  // hit
     EXPECT_NEAR(sys.rootStats().lookup("cache0.hitRatio"), 2.0 / 3.0,
                 1e-9);
     EXPECT_NEAR(sys.rootStats().lookup("cache0.busPerAccess"), 1.0 / 3.0,

@@ -20,7 +20,8 @@ constexpr Addr X = 0x1000;    // 8-word block when blockWords=8
 
 struct UnitTest : public ::testing::Test
 {
-    std::unique_ptr<System> sys;
+    std::unique_ptr<Scenario> s;
+    System *sys = nullptr;
 
     void
     build(const std::string &proto, unsigned transfer_words,
@@ -32,20 +33,15 @@ struct UnitTest : public ::testing::Test
         cfg.cache.geom.frames = 8;
         cfg.cache.geom.blockWords = block_words;
         cfg.cache.geom.transferWords = transfer_words;
-        sys = std::make_unique<System>(cfg);
+        s = std::make_unique<Scenario>(cfg);
+        sys = &s->system();
     }
 
     AccessResult
     op(unsigned p, const MemOp &m)
     {
         AccessResult out;
-        bool done = false;
-        sys->cache(p).access(m, [&](const AccessResult &r) {
-            out = r;
-            done = true;
-        });
-        sys->eventq().run();
-        EXPECT_TRUE(done);
+        EXPECT_TRUE(s->tryRun(p, m, &out));
         return out;
     }
 };
