@@ -13,7 +13,6 @@
 #include <cstdio>
 #include <memory>
 
-#include "fault/faulty_bus.hh"
 #include "harness/workload_factory.hh"
 #include "system/system.hh"
 
@@ -66,7 +65,7 @@ runOne(const char *protocol, double rate)
     if (sys.checker().violations() != 0 || sys.checkStateInvariants())
         fatal("coherence violated under faults: %s rate=%g", protocol,
               rate);
-    if (auto *fb = dynamic_cast<FaultyBus *>(&sys.bus())) {
+    if (const FaultInjector *fb = sys.bus().faults()) {
         row.injected = fb->injected.value();
         row.recovered = fb->recovered.value();
         row.backoff = fb->backoffTicks.value();

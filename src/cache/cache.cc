@@ -484,6 +484,10 @@ Cache::snoop(const BusMsg &msg)
     State before = f ? f->state : Inv;
     SnoopReply r = protocol_->snoop(*this, msg, f);
     State after = f ? f->state : Inv;
+    // The payload of a supply or a flush-first write-back is always the
+    // frame's block; protocols only decide whether it travels.
+    if (f && (r.supplyData || r.flushedFirst))
+        r.data = f->data;
 
     if (r.supplyData && config_.geom.subBlockUnits()) {
         // Section D.3: only the requested transfer unit plus every

@@ -30,13 +30,14 @@
 #include <unordered_set>
 #include <vector>
 
-#include "mem/snoop_gate.hh"
+#include "mem/bus_msg.hh"
 #include "sim/stats.hh"
 #include "system/topology.hh"
 
 namespace csync
 {
 
+class BusClient;
 class Cache;
 
 /**
@@ -143,9 +144,12 @@ class SharedCache
  * every transaction to decide per-cluster forwarding, maintain the L2
  * tags, and account root-bus crossings.  One gate per switch; all the
  * state it mutates is keyed by that switch, keeping the sharded engine
- * race-free.
+ * race-free.  Filtering is only legal because a snoop to a cache
+ * holding no valid copy of the block is a no-op in every protocol (see
+ * DESIGN.md); the gate skips exactly the deliveries it can prove would
+ * not react.
  */
-class ClusterGate : public SnoopGate
+class ClusterGate
 {
   public:
     ClusterGate(const std::string &switch_name, std::size_t switch_idx,
@@ -153,8 +157,23 @@ class ClusterGate : public SnoopGate
                 std::vector<SharedCache *> l2s, RootBusModel *root,
                 Tick crossing_penalty, stats::Group *stats_parent);
 
-    Tick beginTransaction(const BusMsg &msg) override;
-    bool shouldSnoop(const BusClient *client, const BusMsg &msg) override;
+    /**
+     * A transaction won arbitration and is about to broadcast.  Called
+     * once per transaction, before any snoop is delivered: decide which
+     * clusters the broadcast must reach and maintain the L2 tags.
+     *
+     * @return extra cycles the transaction occupies the bus — the
+     *         root-bus traversal penalty, or 0 for cluster-local
+     *         traffic.
+     */
+    Tick beginTransaction(const BusMsg &msg);
+
+    /**
+     * Whether @p msg must be delivered to @p client's snoop port.
+     * Called once per non-requesting client, after beginTransaction()
+     * of the same transaction.
+     */
+    bool shouldSnoop(const BusClient *client, const BusMsg &msg);
 
     stats::Group statsGroup;
     stats::Scalar localTransactions;

@@ -183,7 +183,6 @@ AdaptiveProtocol::snoop(Cache &c, const BusMsg &msg, Frame *f)
         r.source = true;
         r.supplyData = true;
         r.dirty = true;
-        r.data = f->data;
         return r;
     }
 

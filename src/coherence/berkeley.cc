@@ -93,7 +93,6 @@ BerkeleyProtocol::snoop(Cache &, const BusMsg &msg, Frame *f)
             r.source = true;
             r.supplyData = true;
             r.dirty = true;
-            r.data = f->data;
             f->state = RdSrcDty;
         } else if (f->state == WrSrcCln) {
             // As published, the clean write state has source status too
@@ -101,7 +100,6 @@ BerkeleyProtocol::snoop(Cache &, const BusMsg &msg, Frame *f)
             r.source = true;
             r.supplyData = true;
             r.dirty = false;
-            r.data = f->data;
             f->state = Rd;
         }
         return r;
@@ -114,7 +112,6 @@ BerkeleyProtocol::snoop(Cache &, const BusMsg &msg, Frame *f)
             r.source = true;
             r.supplyData = true;
             r.dirty = isDirty(f->state);
-            r.data = f->data;
         }
         f->state = Inv;
         return r;
@@ -130,7 +127,6 @@ BerkeleyProtocol::snoop(Cache &, const BusMsg &msg, Frame *f)
             r.source = true;
             r.supplyData = true;
             r.dirty = isDirty(f->state);
-            r.data = f->data;
         }
         return r;
 

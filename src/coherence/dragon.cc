@@ -98,7 +98,6 @@ DragonProtocol::snoop(Cache &, const BusMsg &msg, Frame *f)
             r.source = isSource(f->state);
             r.supplyData = true;
             r.dirty = isDirty(f->state);
-            r.data = f->data;
             f->state = isDirty(f->state) ? SharedMod : SharedClean;
         }
         return r;
@@ -123,7 +122,6 @@ DragonProtocol::snoop(Cache &, const BusMsg &msg, Frame *f)
             r.source = true;
             r.supplyData = true;
             r.dirty = true;
-            r.data = f->data;
         }
         f->state = Inv;
         return r;
@@ -134,7 +132,6 @@ DragonProtocol::snoop(Cache &, const BusMsg &msg, Frame *f)
             r.source = true;
             r.supplyData = true;
             r.dirty = true;
-            r.data = f->data;
         }
         return r;
 

@@ -95,7 +95,6 @@ FireflyProtocol::snoop(Cache &, const BusMsg &msg, Frame *f)
             r.supplyData = true;
             r.dirty = false;
             r.flushToMemory = isDirty(f->state);
-            r.data = f->data;
             f->state = SharedClean;
         }
         return r;
@@ -118,7 +117,6 @@ FireflyProtocol::snoop(Cache &, const BusMsg &msg, Frame *f)
             r.source = true;
             r.supplyData = true;
             r.dirty = true;
-            r.data = f->data;
         }
         f->state = Inv;
         return r;
@@ -129,7 +127,6 @@ FireflyProtocol::snoop(Cache &, const BusMsg &msg, Frame *f)
             r.source = true;
             r.supplyData = true;
             r.dirty = true;
-            r.data = f->data;
         }
         return r;
 

@@ -97,7 +97,6 @@ GoodmanProtocol::snoop(Cache &, const BusMsg &msg, Frame *f)
             r.supplyData = true;
             r.dirty = false;        // arrives clean after the flush
             r.flushToMemory = true;
-            r.data = f->data;
             f->state = Rd;
         } else if (canWrite(f->state)) {
             // Reserved: another reader appears; fall back to Valid.
@@ -111,10 +110,8 @@ GoodmanProtocol::snoop(Cache &, const BusMsg &msg, Frame *f)
         // copy after deciding); flush it first so no data is lost —
         // the bus applies the flush before the word write.
         r.hasCopy = true;
-        if (f->state == WrSrcDty) {
+        if (f->state == WrSrcDty)
             r.flushedFirst = true;
-            r.data = f->data;
-        }
         f->state = Inv;
         return r;
 
@@ -127,7 +124,6 @@ GoodmanProtocol::snoop(Cache &, const BusMsg &msg, Frame *f)
             r.source = true;
             r.supplyData = true;
             r.flushToMemory = true;
-            r.data = f->data;
         }
         f->state = Inv;
         return r;
@@ -138,7 +134,6 @@ GoodmanProtocol::snoop(Cache &, const BusMsg &msg, Frame *f)
             r.source = true;
             r.supplyData = true;
             r.dirty = true;
-            r.data = f->data;
         }
         return r;
 

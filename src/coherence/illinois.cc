@@ -87,7 +87,6 @@ IllinoisProtocol::snoop(Cache &, const BusMsg &msg, Frame *f)
         // than from memory; every holder offers it and the bus
         // arbitrates (Feature 8 'ARB').
         r.supplyData = true;
-        r.data = f->data;
         if (f->state == WrSrcDty) {
             // Modified: flushed to memory concurrently with the
             // transfer, so it arrives clean (Feature 7 'F').
@@ -104,7 +103,6 @@ IllinoisProtocol::snoop(Cache &, const BusMsg &msg, Frame *f)
         r.hasCopy = true;
         if (msg.req == BusReq::ReadExclusive) {
             r.supplyData = true;
-            r.data = f->data;
             if (f->state == WrSrcDty) {
                 r.source = true;
                 r.flushToMemory = true;
@@ -122,7 +120,6 @@ IllinoisProtocol::snoop(Cache &, const BusMsg &msg, Frame *f)
         r.hasCopy = true;
         r.supplyData = true;
         r.dirty = isDirty(f->state);
-        r.data = f->data;
         return r;
 
       default:

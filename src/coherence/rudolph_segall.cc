@@ -105,7 +105,6 @@ RudolphSegallProtocol::snoop(Cache &, const BusMsg &msg, Frame *f)
             r.supplyData = true;
             r.dirty = false;
             r.flushToMemory = isDirty(f->state);
-            r.data = f->data;
         }
         // Any access by another processor resets the interleave
         // detector.
@@ -130,7 +129,6 @@ RudolphSegallProtocol::snoop(Cache &, const BusMsg &msg, Frame *f)
             r.source = true;
             r.supplyData = true;
             r.dirty = true;
-            r.data = f->data;
         }
         f->state = Inv;
         return r;
@@ -141,7 +139,6 @@ RudolphSegallProtocol::snoop(Cache &, const BusMsg &msg, Frame *f)
             r.source = true;
             r.supplyData = true;
             r.dirty = true;
-            r.data = f->data;
         }
         return r;
 

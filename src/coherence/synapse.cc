@@ -83,7 +83,6 @@ SynapseProtocol::snoop(Cache &c, const BusMsg &msg, Frame *f)
             // (Table 1 note 1): for a read, flush to memory and let
             // memory supply on the retry.
             r.flushedFirst = true;
-            r.data = f->data;
             f->state = Rd;
             c.memory().setCacheOwned(msg.blockAddr, false);
         }
@@ -100,7 +99,6 @@ SynapseProtocol::snoop(Cache &c, const BusMsg &msg, Frame *f)
             r.source = true;
             r.supplyData = true;
             r.dirty = true;
-            r.data = f->data;
             c.memory().setCacheOwned(msg.blockAddr, false);
         }
         f->state = Inv;
@@ -112,7 +110,6 @@ SynapseProtocol::snoop(Cache &c, const BusMsg &msg, Frame *f)
             r.source = true;
             r.supplyData = true;
             r.dirty = true;
-            r.data = f->data;
         }
         return r;
 

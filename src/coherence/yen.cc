@@ -92,7 +92,6 @@ YenProtocol::snoop(Cache &, const BusMsg &msg, Frame *f)
             r.supplyData = true;
             r.dirty = false;
             r.flushToMemory = true;    // Feature 7 'F'
-            r.data = f->data;
         }
         if (canWrite(f->state))
             f->state = Rd;
@@ -106,7 +105,6 @@ YenProtocol::snoop(Cache &, const BusMsg &msg, Frame *f)
             r.source = true;
             r.supplyData = true;
             r.flushToMemory = true;
-            r.data = f->data;
         }
         f->state = Inv;
         return r;
@@ -122,7 +120,6 @@ YenProtocol::snoop(Cache &, const BusMsg &msg, Frame *f)
             r.source = true;
             r.supplyData = true;
             r.dirty = true;
-            r.data = f->data;
         }
         return r;
 

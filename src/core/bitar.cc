@@ -237,7 +237,6 @@ BitarProtocol::snoop(Cache &, const BusMsg &msg, Frame *f)
                 r.source = true;
                 r.supplyData = !msg.hasData;
                 r.dirty = isDirty(f->state);
-                r.data = f->data;
                 // Any write privilege is lost: another reader exists.
                 f->state = Rd;
             } else if (canWrite(f->state)) {
@@ -250,7 +249,6 @@ BitarProtocol::snoop(Cache &, const BusMsg &msg, Frame *f)
                 r.source = true;
                 r.supplyData = !msg.hasData;
                 r.dirty = isDirty(f->state);
-                r.data = f->data;
             }
             f->state = Inv;
         }
@@ -270,7 +268,6 @@ BitarProtocol::snoop(Cache &, const BusMsg &msg, Frame *f)
             r.source = true;
             r.supplyData = true;
             r.dirty = isDirty(f->state);
-            r.data = f->data;
         }
         return r;
 

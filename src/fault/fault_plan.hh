@@ -2,8 +2,9 @@
  * @file
  * Deterministic, seed-driven fault scheduling for robustness campaigns.
  * A FaultPlan names which bus-level faults may fire, how often, and with
- * what timing parameters; a FaultyBus draws from a dedicated PRNG seeded
- * by the plan, so a faulty run is exactly as reproducible as a clean one.
+ * what timing parameters; a bus's FaultInjector draws from a dedicated
+ * PRNG seeded by the plan, so a faulty run is exactly as reproducible as
+ * a clean one.
  *
  * Every fault is *legal-but-adversarial timing*: a NAK'd arbitration, a
  * stalled bus, a slow cache-to-cache supply, a dropped busy-wait grant.
@@ -72,7 +73,7 @@ struct FaultPlan
     std::vector<std::string> kinds;
 
     /** Switch the faults attach to, by topology switch name ("sync_bus");
-     *  empty means every switch of the system is decorated.  Validated
+     *  empty means every switch of the system injects.  Validated
      *  against the topology by SystemConfig::validate(). */
     std::string target;
 

@@ -2,14 +2,15 @@
 
 #include <algorithm>
 
-#include "mem/snoop_gate.hh"
+#include "cache/shared_cache.hh"
 
 namespace csync
 {
 
 Bus::Bus(std::string name, EventQueue *eq, Memory *memory,
          const BusTiming &timing, stats::Group *stats_parent,
-         unsigned carries, bool class_stats, const std::string &arbitration)
+         unsigned carries, bool multi_switch,
+         const std::string &arbitration, const FaultPlan *faults)
     : SimObject(std::move(name), eq),
       statsGroup(this->name(), stats_parent),
       transactions(&statsGroup, "transactions", "bus transactions granted"),
@@ -39,7 +40,7 @@ Bus::Bus(std::string name, EventQueue *eq, Memory *memory,
             &statsGroup, std::string("req.") + busReqName(BusReq(i)),
             "transactions of this type"));
     }
-    if (class_stats) {
+    if (multi_switch) {
         for (unsigned i = 0; i < kNumTrafficClasses; ++i) {
             perClass_.push_back(std::make_unique<stats::Scalar>(
                 &statsGroup,
@@ -49,6 +50,10 @@ Bus::Bus(std::string name, EventQueue *eq, Memory *memory,
         misrouted_ = std::make_unique<stats::Scalar>(
             &statsGroup, "traffic.misrouted",
             "transactions of a class this switch should not carry");
+    }
+    if (faults) {
+        faults_ = std::make_unique<FaultInjector>(
+            *faults, multi_switch ? this->name() + "." : "", stats_parent);
     }
 }
 
@@ -127,9 +132,11 @@ Bus::arbitrate()
     if (busy_ || queue_.empty())
         return;
 
-    if (Tick stall = preArbitrationStall()) {
+    if (Tick stall = faults_ ? faults_->arbitrationStall() : 0) {
         // Injected fault: the bus is held with no transaction, then
         // arbitration reruns.
+        trace(TraceFlag::Bus, "fault: stall bus %llu ticks",
+              (unsigned long long)stall);
         busy_ = true;
         busyCycles += double(stall);
         eventq()->scheduleIn(stall, [this] {
@@ -165,10 +172,20 @@ Bus::arbitrate()
     Pending winner = queue_[best_idx];
     queue_.erase(queue_.begin() + best_idx);
 
-    if (vetoGrant(winner.client, winner.pri, winner.cls)) {
+    auto refusal = faults_ ? faults_->refuseGrant(winner.client, winner.pri)
+                           : std::nullopt;
+    if (refusal) {
         // Injected NAK before the winner could broadcast: the refused
-        // handshake still consumes bus cycles, and the hook re-posts the
-        // request after its backoff.
+        // handshake still consumes bus cycles, and the request is
+        // re-posted after its backoff.  The client may have since
+        // withdrawn interest (a busy-wait register that snooped a
+        // competing ReadLock); it then simply declines the re-grant.
+        trace(TraceFlag::Bus, "fault: %s node %d, retry in %llu",
+              faultKindName(refusal->kind), winner.client->nodeId(),
+              (unsigned long long)refusal->backoff);
+        eventq()->scheduleIn(refusal->backoff, [this, winner] {
+            request(winner.client, winner.pri, winner.cls);
+        });
         busy_ = true;
         Tick dur = timing_.arbCycles + timing_.signalCycles;
         busyCycles += double(dur);
@@ -184,7 +201,8 @@ Bus::arbitrate()
     if (!winner.client->busGrant(grantMsg_)) {
         // Winner declined (e.g. its awaited lock is already gone); give
         // the slot to the next contender immediately.
-        onTransactionComplete(winner.client);
+        if (faults_)
+            faults_->turnEnded(winner.client);
         if (!queue_.empty())
             scheduleArbitration();
         return;
@@ -214,7 +232,7 @@ Bus::execute(BusClient *requester)
     ++*perType_[unsigned(msg.req)];
     if (!perClass_.empty()) {
         ++*perClass_[unsigned(msg.cls)];
-        if (!carriesClass(msg.cls))
+        if (!(carries_ & trafficClassBit(msg.cls)))
             ++*misrouted_;
     }
 
@@ -229,7 +247,7 @@ Bus::execute(BusClient *requester)
     // On a hierarchical topology the cluster-boundary gate decides
     // which clients must see this broadcast and charges the root-bus
     // traversal when it leaves the cluster; flat buses have no gate
-    // and broadcast to everyone, exactly as before.
+    // and broadcast to everyone.
     Tick gate_extra = gate_ ? gate_->beginTransaction(msg) : 0;
 
     for (auto *c : clients_) {
@@ -319,7 +337,12 @@ Bus::execute(BusClient *requester)
                 dur += timing_.dataCycles(words);
                 dataTransferCycles += double(timing_.dataCycles(words));
                 ++cacheSupplies;
-                dur += supplyExtraDelay(msg, res);
+                if (Tick delay = faults_ ? faults_->supplyDelay() : 0) {
+                    trace(TraceFlag::Bus,
+                          "fault: delay supply from node %d by %llu ticks",
+                          res.supplier, (unsigned long long)delay);
+                    dur += delay;
+                }
                 if (flush_with_transfer) {
                     memory_->writeBlock(msg.blockAddr, supplied);
                     if (!timing_.concurrentFlush)
@@ -397,7 +420,8 @@ Bus::execute(BusClient *requester)
     // which cannot happen before busy_ clears here.
     eventq()->scheduleIn(dur, [this, requester] {
         busy_ = false;
-        onTransactionComplete(requester);
+        if (faults_)
+            faults_->turnEnded(requester);
         requester->busComplete(lastMsg_, res_);
         if (!queue_.empty())
             scheduleArbitration();

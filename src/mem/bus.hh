@@ -10,7 +10,11 @@
  * by default; see mem/arbitration.hh), except that a request posted with
  * BusPriority::BusyWait uses the dedicated most-significant priority bit
  * the paper gives to busy-wait registers (Section E.4), and always wins
- * over normal requests regardless of discipline.
+ * over normal requests regardless of discipline.  The service discipline
+ * is the bus's only extension point: fault injection
+ * (fault/fault_injector.hh) and the cluster-boundary snoop filter
+ * (ClusterGate, cache/shared_cache.hh) are optional members it calls
+ * directly.
  */
 
 #ifndef CSYNC_MEM_BUS_HH
@@ -20,6 +24,7 @@
 #include <optional>
 #include <vector>
 
+#include "fault/fault_injector.hh"
 #include "mem/arbitration.hh"
 #include "mem/bus_msg.hh"
 #include "mem/memory.hh"
@@ -30,7 +35,7 @@
 namespace csync
 {
 
-class SnoopGate;
+class ClusterGate;
 
 /**
  * Interface every bus client (cache port, busy-wait register, or I/O
@@ -71,7 +76,7 @@ class BusClient
  * system/topology.hh); which traffic class it belongs to rides in
  * BusMsg::cls.
  */
-class Bus : public SimObject
+class Bus final : public SimObject
 {
   public:
     /**
@@ -79,16 +84,21 @@ class Bus : public SimObject
      *        meant to carry (kAllTraffic for a lone bus).  Advisory:
      *        routing is by address; the mask feeds the misrouted-traffic
      *        counter and topology checks.
-     * @param class_stats Register per-traffic-class counters.  Off by
-     *        default so single-bus stat dumps are unchanged; a
-     *        multi-switch System turns it on for every switch.
+     * @param multi_switch This bus is one switch of several: register
+     *        per-traffic-class counters and prefix the fault stat
+     *        groups with "<name>.".  Off by default so single-bus stat
+     *        dumps keep their names; a multi-switch System turns it on
+     *        for every switch.
      * @param arbitration Service discipline name (mem/arbitration.hh);
      *        the default reproduces the paper's round-robin exactly.
+     * @param faults Fault plan to inject on this bus, or null (the
+     *        default) for a clean bus with an unchanged stats tree.
      */
     Bus(std::string name, EventQueue *eq, Memory *memory,
         const BusTiming &timing, stats::Group *stats_parent,
-        unsigned carries = kAllTraffic, bool class_stats = false,
-        const std::string &arbitration = "round_robin");
+        unsigned carries = kAllTraffic, bool multi_switch = false,
+        const std::string &arbitration = "round_robin",
+        const FaultPlan *faults = nullptr);
 
     /** Attach a client (caches in nodeId order, then I/O devices). */
     void addClient(BusClient *client);
@@ -106,9 +116,6 @@ class Bus : public SimObject
     void request(BusClient *client, BusPriority pri = BusPriority::Normal,
                  TrafficClass cls = TrafficClass::Data);
 
-    /** The service discipline arbitrating this bus. */
-    const ArbitrationPolicy &arbitration() const { return *arb_; }
-
     /** Withdraw a pending request (e.g. busy-wait loser). */
     void cancel(BusClient *client);
 
@@ -117,15 +124,15 @@ class Bus : public SimObject
 
     /**
      * Install the cluster-boundary snoop gate (hierarchical topologies;
-     * see mem/snoop_gate.hh).  Null — the default, and the only state
-     * flat topologies ever see — broadcasts every transaction to every
-     * client exactly as before.  The gate is owned by the System
-     * and must outlive the bus's last transaction.
+     * see cache/shared_cache.hh).  Null — the default, and the only
+     * state flat topologies ever see — broadcasts every transaction to
+     * every client.  The gate is owned by the System and must outlive
+     * the bus's last transaction.
      */
-    void setSnoopGate(SnoopGate *gate) { gate_ = gate; }
+    void setClusterGate(ClusterGate *gate) { gate_ = gate; }
 
-    /** The installed boundary gate, or null. */
-    SnoopGate *snoopGate() const { return gate_; }
+    /** The fault injector of a faulted bus, or null on a clean one. */
+    const FaultInjector *faults() const { return faults_.get(); }
 
     /** True once any transaction has been broadcast (diagnostics). */
     bool hasLastMsg() const { return hasLastMsg_; }
@@ -135,15 +142,6 @@ class Bus : public SimObject
 
     /** Tick at which lastMsg() was broadcast. */
     Tick lastMsgTick() const { return lastMsgTick_; }
-
-    /** Traffic classes this switch is meant to carry. */
-    unsigned carries() const { return carries_; }
-
-    /** True if @p cls is among the classes this switch should carry. */
-    bool carriesClass(TrafficClass cls) const
-    {
-        return carries_ & trafficClassBit(cls);
-    }
 
     /** @name Statistics */
     /// @{
@@ -169,53 +167,12 @@ class Bus : public SimObject
     double classCount(TrafficClass cls) const;
 
     /**
-     * Transactions whose class is outside this switch's carries() mask
+     * Transactions whose class is outside this switch's carries mask
      * (0 unless per-class counters were enabled).  Nonzero means the
      * topology routes references the paper would put on the other
      * system — e.g. data traffic in the sync bus's address range.
      */
     double misroutedCount() const;
-
-  protected:
-    /**
-     * @name Fault-injection hooks
-     * No-ops on the plain bus; FaultyBus overrides them to perturb runs
-     * with legal-but-adversarial timing.  They fire at points where the
-     * perturbation is pure timing — in particular vetoGrant() is asked
-     * *before* busGrant(), so a refused winner has observed no state
-     * change and simply retries later.
-     */
-    /// @{
-    /** Ticks to hold the bus idle before picking a winner; 0 = none. */
-    virtual Tick preArbitrationStall() { return 0; }
-
-    /**
-     * Refuse the arbitration winner's tenure (a NAK).  The hook is
-     * responsible for eventually re-posting @p client's request.
-     */
-    virtual bool vetoGrant(BusClient *client, BusPriority pri,
-                           TrafficClass cls)
-    {
-        (void)client;
-        (void)pri;
-        (void)cls;
-        return false;
-    }
-
-    /** Extra ticks a cache-to-cache supply takes; 0 = none. */
-    virtual Tick supplyExtraDelay(const BusMsg &msg, const SnoopResult &res)
-    {
-        (void)msg;
-        (void)res;
-        return 0;
-    }
-
-    /**
-     * @p client's turn on the bus ended — either its transaction
-     * completed or it declined a grant (its need had evaporated).
-     */
-    virtual void onTransactionComplete(BusClient *client) { (void)client; }
-    /// @}
 
   private:
     struct Pending
@@ -236,12 +193,13 @@ class Bus : public SimObject
     BusTiming timing_;
     unsigned carries_;
     std::vector<std::unique_ptr<stats::Scalar>> perType_;
-    /** Per-traffic-class counters; registered only when class_stats. */
+    /** Per-traffic-class counters; registered only when multi_switch. */
     std::vector<std::unique_ptr<stats::Scalar>> perClass_;
     std::unique_ptr<stats::Scalar> misrouted_;
     std::vector<BusClient *> clients_;
     std::vector<Pending> queue_;
-    SnoopGate *gate_ = nullptr;
+    ClusterGate *gate_ = nullptr;
+    std::unique_ptr<FaultInjector> faults_;
     std::unique_ptr<ArbitrationPolicy> arb_;
     bool busy_ = false;
     bool arbScheduled_ = false;

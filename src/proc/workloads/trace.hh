@@ -14,7 +14,9 @@
  *     T <cycles>          think time before the next op
  *     P                   set the private (unshared) hint on the next op
  *
- * Addresses and values are hex or decimal per strtoull.
+ * Addresses and values are unsigned, hex or decimal per strtoull.  A
+ * malformed number, a missing operand or an extra token is fatal,
+ * naming the line and the token.
  */
 
 #ifndef CSYNC_PROC_WORKLOADS_TRACE_HH

@@ -52,8 +52,8 @@ struct SystemConfig
     /** Interconnect topology (default: the paper's single bus). */
     TopologyConfig topology;
     /** Fault-injection schedule + watchdog window (default: no faults,
-     *  no stats-tree changes).  fault.target selects which switch the
-     *  FaultyBus decorator wraps ("" = every switch). */
+     *  no stats-tree changes).  fault.target selects which switch's
+     *  bus injects faults ("" = every switch). */
     FaultPlan fault;
     /**
      * Worker threads for the sharded parallel engine.  1 (the default)

@@ -4,7 +4,6 @@
 #include <map>
 #include <sstream>
 
-#include "fault/faulty_bus.hh"
 #include "sim/parallel.hh"
 #include "sim/stats_json.hh"
 
@@ -41,16 +40,9 @@ System::System(const SystemConfig &cfg)
                         cfg_.fault.target == sw.name);
         const std::string &arb = sw.arbitration.empty() ? cfg_.arbitration
                                                         : sw.arbitration;
-        if (faulted) {
-            port.bus = std::make_unique<FaultyBus>(
-                sw.name, &eq_, port.memory.get(), cfg_.timing, &root_,
-                cfg_.fault, sw.carries, multi,
-                multi ? sw.name + "." : "", arb);
-        } else {
-            port.bus = std::make_unique<Bus>(
-                sw.name, &eq_, port.memory.get(), cfg_.timing, &root_,
-                sw.carries, multi, arb);
-        }
+        port.bus = std::make_unique<Bus>(
+            sw.name, &eq_, port.memory.get(), cfg_.timing, &root_,
+            sw.carries, multi, arb, faulted ? &cfg_.fault : nullptr);
 
         for (unsigned i = 0; i < p; ++i) {
             // Every switch runs the configured protocol, one tuned
@@ -115,7 +107,7 @@ System::buildHierarchy()
         auto gate = std::make_unique<ClusterGate>(
             topo.switches[k].name, k, &topo, p, l2s, rootBus_.get(),
             penalty, &root_);
-        ports_[k].bus->setSnoopGate(gate.get());
+        ports_[k].bus->setClusterGate(gate.get());
         gates_.push_back(std::move(gate));
     }
 }

@@ -228,9 +228,9 @@ TEST(ParallelDeterminism, CoupledWorkloadFallsBackAndMatches)
 
 TEST(ParallelDeterminism, FaultInjectedRunsMatchSerial)
 {
-    // Fault injection pins the run to the serial engine (the FaultyBus
-    // PRNG's observation order is global), so --sim-threads must be a
-    // no-op: identical documents, identical fault stream.
+    // Fault injection pins the run to the serial engine (the fault
+    // injector's PRNG observation order is global), so --sim-threads
+    // must be a no-op: identical documents, identical fault stream.
     for (const char *wl : {"random_sharing", "domain_local"}) {
         RunOutput serial = runOnce("bitar", wl, 4, 42, faultPlan(0.2, 7),
                                    TopologyConfig::twoSwitch(), 1);

@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "fault/fault_plan.hh"
-#include "fault/faulty_bus.hh"
+#include "fault/fault_injector.hh"
 #include "fault/watchdog.hh"
 #include "harness/campaign.hh"
 #include "harness/campaign_io.hh"
@@ -230,7 +230,7 @@ TEST(FaultRecovery, EveryKindRecoversCleanly)
         EXPECT_EQ(sys.checkStateInvariants(), 0u)
             << c.kind << "/" << c.workload;
 
-        auto *fb = dynamic_cast<FaultyBus *>(&sys.bus());
+        const FaultInjector *fb = sys.bus().faults();
         ASSERT_NE(fb, nullptr);
         if (std::string(c.kind) != "drop_grant") {
             // Busy-wait grants are rare enough that drop_grant may
@@ -251,7 +251,7 @@ TEST(FaultRecovery, NakRunCountsBackoffAndRecovers)
     sys.run();
     ASSERT_TRUE(sys.allDone());
 
-    auto *fb = dynamic_cast<FaultyBus *>(&sys.bus());
+    const FaultInjector *fb = sys.bus().faults();
     ASSERT_NE(fb, nullptr);
     EXPECT_GT(fb->naks.value(), 0.0);
     EXPECT_GT(fb->backoffTicks.value(), 0.0);
@@ -278,7 +278,7 @@ TEST(FaultRecovery, CleanRunKeepsStatsTreeUnchanged)
     const std::string dump = os.str();
     EXPECT_EQ(dump.find("faults."), std::string::npos);
     EXPECT_EQ(dump.find("watchdog."), std::string::npos);
-    EXPECT_EQ(nullptr, dynamic_cast<FaultyBus *>(&sys.bus()));
+    EXPECT_EQ(nullptr, sys.bus().faults());
 }
 
 // --------------------------------------------------------------------

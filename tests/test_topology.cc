@@ -11,7 +11,6 @@
 #include <sstream>
 #include <string>
 
-#include "fault/faulty_bus.hh"
 #include "harness/campaign.hh"
 #include "harness/sweep.hh"
 #include "harness/workload_factory.hh"
@@ -333,9 +332,9 @@ TEST(Topology, FaultTargetScopesInjectionToOneInterconnect)
     fault.target = "sync_bus";
     auto sys = runTwoSwitch("service_queue", 4, fault);
 
-    // Only the targeted interconnect is a FaultyBus.
-    EXPECT_NE(dynamic_cast<FaultyBus *>(&sys->bus(0)), nullptr);
-    EXPECT_EQ(dynamic_cast<FaultyBus *>(&sys->bus(1)), nullptr);
+    // Only the targeted interconnect injects faults.
+    EXPECT_NE(sys->bus(0).faults(), nullptr);
+    EXPECT_EQ(sys->bus(1).faults(), nullptr);
 
     // And despite the injected faults the run still completes cleanly.
     EXPECT_EQ(sys->checker().violations(), 0u);
@@ -348,8 +347,8 @@ TEST(Topology, UntargetedFaultPlanWrapsEveryInterconnect)
     fault.rate = 0.05;
     fault.seed = 7;
     auto sys = runTwoSwitch("service_queue", 2, fault);
-    EXPECT_NE(dynamic_cast<FaultyBus *>(&sys->bus(0)), nullptr);
-    EXPECT_NE(dynamic_cast<FaultyBus *>(&sys->bus(1)), nullptr);
+    EXPECT_NE(sys->bus(0).faults(), nullptr);
+    EXPECT_NE(sys->bus(1).faults(), nullptr);
 }
 
 namespace

@@ -121,6 +121,35 @@ TEST(TraceWorkload, ParsesTextFormat)
     EXPECT_EQ(entries[6].op.type, OpType::WriteNoFetch);
 }
 
+TEST(TraceWorkload, RejectsMalformedNumbersAndExtraTokens)
+{
+    struct Case
+    {
+        const char *text;
+        const char *message;
+    };
+    const Case cases[] = {
+        {"R 0x10\nR 0xZZ\n", "trace line 2: bad address '0xZZ'"},
+        {"W 16 abc\n", "trace line 1: bad value 'abc'"},
+        {"R -1\n", "trace line 1: bad address '-1'"},
+        {"R 32 99\n", "trace line 1: unexpected token '99'"},
+        {"T 99999999999999999999\n",
+         "trace line 1: bad cycle count '99999999999999999999'"},
+    };
+    for (const auto &c : cases) {
+        std::istringstream in(c.text);
+        ScopedFatalThrow guard;
+        try {
+            TraceWorkload::parse(in);
+            ADD_FAILURE() << "accepted: " << c.text;
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(c.message),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
 TEST(TraceWorkload, RunsOnSystem)
 {
     System sys(sysCfg("bitar", 1));
