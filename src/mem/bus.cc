@@ -126,6 +126,18 @@ Bus::scheduleArbitration()
 }
 
 void
+Bus::holdIdle(Tick dur)
+{
+    busy_ = true;
+    busyCycles += double(dur);
+    eventq()->scheduleIn(dur, [this] {
+        busy_ = false;
+        if (!queue_.empty())
+            scheduleArbitration();
+    });
+}
+
+void
 Bus::arbitrate()
 {
     arbScheduled_ = false;
@@ -137,13 +149,7 @@ Bus::arbitrate()
         // arbitration reruns.
         trace(TraceFlag::Bus, "fault: stall bus %llu ticks",
               (unsigned long long)stall);
-        busy_ = true;
-        busyCycles += double(stall);
-        eventq()->scheduleIn(stall, [this] {
-            busy_ = false;
-            if (!queue_.empty())
-                scheduleArbitration();
-        });
+        holdIdle(stall);
         return;
     }
 
@@ -186,14 +192,7 @@ Bus::arbitrate()
         eventq()->scheduleIn(refusal->backoff, [this, winner] {
             request(winner.client, winner.pri, winner.cls);
         });
-        busy_ = true;
-        Tick dur = timing_.arbCycles + timing_.signalCycles;
-        busyCycles += double(dur);
-        eventq()->scheduleIn(dur, [this] {
-            busy_ = false;
-            if (!queue_.empty())
-                scheduleArbitration();
-        });
+        holdIdle(timing_.arbCycles + timing_.signalCycles);
         return;
     }
 

@@ -184,6 +184,9 @@ class Bus final : public SimObject
     };
 
     void scheduleArbitration();
+    /** Occupy the bus for @p dur ticks with no transaction (an injected
+     *  stall or a refused handshake), then rerun arbitration. */
+    void holdIdle(Tick dur);
     void arbitrate();
     /** Broadcast the parked message (lastMsg_) and schedule its
      *  completion. */
