@@ -38,9 +38,9 @@ namespace csync
 class BusClient;
 
 /**
- * The fault decisions of one bus.  Its statistics are registered only
- * because it exists: a clean bus has no injector, so clean runs keep a
- * byte-identical stats tree.  The decisions fire where the perturbation
+ * The fault decisions of one bus.  A clean bus has no injector, so the
+ * injector's stat groups exist only on faulted runs and clean runs keep
+ * a byte-identical stats tree.  The decisions fire where the perturbation
  * is pure timing — in particular refuseGrant() is asked *before*
  * busGrant(), so a refused winner has observed no state change and
  * simply retries later.
@@ -56,8 +56,6 @@ class FaultInjector
      */
     FaultInjector(const FaultPlan &plan, const std::string &stats_prefix,
                   stats::Group *stats_parent);
-
-    const FaultPlan &plan() const { return plan_; }
 
     /** A refused grant: which fault refused it, and the ticks until
      *  the bus re-posts the request. */
