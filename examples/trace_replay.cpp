@@ -1,26 +1,21 @@
 /**
  * @file
- * Trace replay: drive the simulator from per-processor trace files in
- * the simple text format of src/proc/workloads/trace.hh:
+ * Trace replay: drive the simulator from fixed per-processor operation
+ * lists (TraceWorkload), the programmatic form of a directed trace.
+ * Processor 0 initializes two words, then updates a third under a
+ * cache lock; processor 1 reads the shared data and contends for the
+ * same lock.
  *
- *     R <addr>            read
- *     W <addr> <value>    write
- *     A <addr> <value>    atomic swap
- *     L <addr>            lock-read        (bitar)
- *     U <addr> <value>    unlock-write     (bitar)
- *     N <addr> <value>    write-no-fetch   (bitar)
- *     T <cycles>          think time before the next op
- *     P                   unshared hint on the next op
+ * Usage: trace_replay [protocol]   (default bitar)
  *
- * Usage: trace_replay <protocol> <trace0> [trace1 ...]
- * With no trace files, a built-in two-processor demo trace runs.
+ * Captured traces from files replay through the `.ctrace` front-end
+ * instead: `csync-trace gen` writes one and `csync-sweep --trace`
+ * replays it.
  */
 
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <memory>
-#include <sstream>
 
 #include "proc/workloads/trace.hh"
 #include "system/system.hh"
@@ -30,24 +25,11 @@ using namespace csync;
 namespace
 {
 
-const char *demo_trace0 =
-    "# processor 0: initialize, lock, update, unlock\n"
-    "W 0x1000 100\n"
-    "W 0x1008 200\n"
-    "L 0x2000\n"
-    "W 0x2008 1\n"
-    "U 0x2000 0\n"
-    "T 10\n"
-    "R 0x1000\n";
-
-const char *demo_trace1 =
-    "# processor 1: read the shared data, contend for the lock\n"
-    "T 5\n"
-    "R 0x1000\n"
-    "R 0x1008\n"
-    "L 0x2000\n"
-    "R 0x2008\n"
-    "U 0x2000 0\n";
+TraceEntry
+op(OpType type, Addr addr, Word value = 0, Tick think = 0)
+{
+    return {MemOp{type, addr, value, false}, think};
+}
 
 } // namespace
 
@@ -55,23 +37,18 @@ int
 main(int argc, char **argv)
 {
     std::string protocol = argc > 1 ? argv[1] : "bitar";
-    std::vector<std::vector<TraceEntry>> traces;
-
-    if (argc > 2) {
-        for (int i = 2; i < argc; ++i) {
-            std::ifstream in(argv[i]);
-            if (!in)
-                fatal("cannot open trace '%s'", argv[i]);
-            traces.push_back(TraceWorkload::parse(in));
-            std::printf("loaded %zu ops from %s\n",
-                        traces.back().size(), argv[i]);
-        }
-    } else {
-        std::istringstream t0(demo_trace0), t1(demo_trace1);
-        traces.push_back(TraceWorkload::parse(t0));
-        traces.push_back(TraceWorkload::parse(t1));
-        std::printf("running the built-in two-processor demo trace\n");
-    }
+    std::vector<std::vector<TraceEntry>> traces = {
+        // Processor 0: initialize, lock, update, unlock, read back.
+        {op(OpType::Write, 0x1000, 100), op(OpType::Write, 0x1008, 200),
+         op(OpType::LockRead, 0x2000), op(OpType::Write, 0x2008, 1),
+         op(OpType::UnlockWrite, 0x2000, 0),
+         op(OpType::Read, 0x1000, 0, 10)},
+        // Processor 1: read the shared data, contend for the lock.
+        {op(OpType::Read, 0x1000, 0, 5), op(OpType::Read, 0x1008),
+         op(OpType::LockRead, 0x2000), op(OpType::Read, 0x2008),
+         op(OpType::UnlockWrite, 0x2000, 0)},
+    };
+    std::printf("running the built-in two-processor demo trace\n");
 
     SystemConfig cfg;
     cfg.protocol = protocol;

@@ -3,6 +3,7 @@
 #include <cstdio>
 
 #include "harness/campaign_io.hh"
+#include "harness/cli_args.hh"
 #include "sim/logging.hh"
 
 namespace csync
@@ -86,20 +87,13 @@ parseShard(const std::string &text, Shard *out, std::string *err)
         slash + 1 >= text.size()) {
         return fail("expected i/N (e.g. 1/4)");
     }
-    char *end = nullptr;
-    unsigned long i = std::strtoul(text.c_str(), &end, 10);
-    if (end != text.c_str() + slash)
-        return fail("bad shard index");
-    unsigned long n =
-        std::strtoul(text.c_str() + slash + 1, &end, 10);
-    if (end != text.c_str() + text.size())
-        return fail("bad shard count");
-    if (n == 0)
-        return fail("shard count must be >= 1");
-    if (i == 0 || i > n)
-        return fail(csprintf("index must be in 1..%lu", n));
-    out->index = unsigned(i - 1);
-    out->count = unsigned(n);
+    unsigned i = 0, n = 0;
+    std::string why;
+    if (!parseUnsignedArg("count", text.substr(slash + 1), &n, &why, 1) ||
+        !parseUnsignedArg("index", text.substr(0, slash), &i, &why, 1, n))
+        return fail(why);
+    out->index = i - 1;
+    out->count = n;
     return true;
 }
 

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <chrono>
 
-#include "sim/logging.hh"
-
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
 #endif
@@ -13,8 +11,6 @@ namespace csync
 {
 namespace perf
 {
-
-const char *const kCalibrationKernel = "calibration";
 
 double
 median(std::vector<double> v)
@@ -118,130 +114,6 @@ benchToJson(const std::vector<KernelResult> &kernels,
     }
     doc.set("kernels", std::move(arr));
     return doc;
-}
-
-bool
-benchFromJson(const harness::Json &doc, std::vector<KernelResult> *out,
-              std::string *err)
-{
-    out->clear();
-    if (!doc.isObject() || !doc.has("csync_bench")) {
-        *err = "not a csync bench document (no \"csync_bench\" key)";
-        return false;
-    }
-    int version = int(doc["csync_bench"].asNumber());
-    if (version != kBenchVersion) {
-        *err = csprintf("unsupported bench document version %d "
-                        "(expected %d)", version, kBenchVersion);
-        return false;
-    }
-    const harness::Json &kernels = doc["kernels"];
-    if (!kernels.isArray()) {
-        *err = "bench document has no \"kernels\" array";
-        return false;
-    }
-    for (std::size_t i = 0; i < kernels.size(); ++i) {
-        const harness::Json &row = kernels.at(i);
-        if (!row.isObject() || !row.has("name") ||
-            !row.has("ops_per_sec")) {
-            *err = csprintf("kernel %zu: missing \"name\" or "
-                            "\"ops_per_sec\"", i);
-            return false;
-        }
-        KernelResult k;
-        k.name = row["name"].asString();
-        k.protocol = row["protocol"].isString()
-                         ? row["protocol"].asString() : "";
-        k.workload = row["workload"].isString()
-                         ? row["workload"].asString() : "";
-        k.procs = unsigned(row["procs"].asNumber());
-        k.opsPerRep = std::uint64_t(row["ops_per_rep"].asNumber());
-        k.reps = unsigned(row["reps"].asNumber());
-        k.medianMs = row["median_ms"].asNumber();
-        k.minMs = row["min_ms"].asNumber();
-        k.maxMs = row["max_ms"].asNumber();
-        k.opsPerSec = row["ops_per_sec"].asNumber();
-        k.nsPerOp = row["ns_per_op"].asNumber();
-        for (const auto &kv : row["stats"].members())
-            k.stats[kv.first] = kv.second.asNumber();
-        out->push_back(std::move(k));
-    }
-    return true;
-}
-
-namespace
-{
-
-const KernelResult *
-findKernel(const std::vector<KernelResult> &v, const std::string &name)
-{
-    for (const auto &k : v)
-        if (k.name == name)
-            return &k;
-    return nullptr;
-}
-
-} // anonymous namespace
-
-BenchCompareReport
-compareBench(const std::vector<KernelResult> &baseline,
-             const std::vector<KernelResult> &candidate,
-             const BenchCompareOptions &opts)
-{
-    BenchCompareReport rep;
-    std::string &t = rep.text;
-
-    // Machine-speed normalization: when both runs measured the
-    // calibration kernel, judge each simulator kernel by its throughput
-    // relative to its own run's calibration throughput.
-    double scale = 1.0;
-    const KernelResult *oldCal = findKernel(baseline, kCalibrationKernel);
-    const KernelResult *newCal = findKernel(candidate, kCalibrationKernel);
-    if (oldCal && newCal && oldCal->opsPerSec > 0 &&
-        newCal->opsPerSec > 0) {
-        scale = newCal->opsPerSec / oldCal->opsPerSec;
-        rep.normalized = true;
-        t += csprintf("calibration: baseline %.3g ops/s, candidate "
-                      "%.3g ops/s -> machine scale %.3f\n",
-                      oldCal->opsPerSec, newCal->opsPerSec, scale);
-    }
-
-    for (const auto &b : baseline) {
-        if (b.name == kCalibrationKernel)
-            continue;
-        const KernelResult *c = findKernel(candidate, b.name);
-        if (!c) {
-            ++rep.missing;
-            rep.ok = false;
-            t += csprintf("MISSING %-32s not in candidate\n",
-                          b.name.c_str());
-            continue;
-        }
-        ++rep.compared;
-        double expected = b.opsPerSec * scale;
-        double floor = expected * (1.0 - opts.maxRegressPct / 100.0);
-        double delta = expected > 0
-                           ? (c->opsPerSec - expected) / expected * 100.0
-                           : 0.0;
-        if (c->opsPerSec < floor) {
-            ++rep.regressed;
-            rep.ok = false;
-            t += csprintf("REGRESS %-32s %.3g -> %.3g ops/s "
-                          "(%+.1f%%, tolerance -%.1f%%)\n",
-                          b.name.c_str(), expected, c->opsPerSec, delta,
-                          opts.maxRegressPct);
-        } else {
-            t += csprintf("ok      %-32s %.3g -> %.3g ops/s (%+.1f%%)\n",
-                          b.name.c_str(), expected, c->opsPerSec, delta);
-        }
-    }
-
-    t += csprintf("compared %u kernels%s: %u regressed beyond %.1f%%, "
-                  "%u missing -> %s\n", rep.compared,
-                  rep.normalized ? " (calibration-normalized)" : "",
-                  rep.regressed, opts.maxRegressPct, rep.missing,
-                  rep.ok ? "OK" : "FAIL");
-    return rep;
 }
 
 } // namespace perf

@@ -2,15 +2,12 @@
  * @file
  * Measured performance: a steady-clock benchmark harness (warmup,
  * repetitions, median-of-N) plus the schema-versioned JSON document the
- * `csync-bench` CLI emits (`BENCH_*.json`) and the comparison gate that
- * turns a committed baseline into a machine-checkable perf regression
- * test.
+ * `csync-bench` CLI emits (`BENCH_*.json`).
  *
- * The comparison normalizes through an optional "calibration" kernel —
- * a fixed amount of pure CPU work — so a baseline recorded on one
- * machine is meaningful on another: every simulator kernel is compared
- * as a ratio to the calibration throughput of its own run, and only a
- * relative slowdown beyond the tolerance fails the gate.
+ * A document is a record of one host's run, not a gate: numbers from
+ * different machines are never compared.  Speed is judged by
+ * tools/perf_ab.py, a same-machine A/B of two checkouts that reads the
+ * `name` and `ns_per_op` fields of each kernel row.
  */
 
 #ifndef CSYNC_PERF_BENCH_HARNESS_HH
@@ -68,8 +65,8 @@ struct KernelResult
      * Deterministic simulator statistics the kernel chose to record
      * (e.g. root-bus transactions of the snoop-filter pair): identical
      * every repetition, serialized only when non-empty, and never
-     * gated by the comparison — they document *why* a kernel's cost
-     * moved, not how fast the host ran it.
+     * gated — they document *why* a kernel's cost moved, not how fast
+     * the host ran it.
      */
     std::map<std::string, double> stats;
 };
@@ -112,50 +109,6 @@ harness::Json benchToJson(const std::vector<KernelResult> &kernels,
                           const std::string &name,
                           const std::string &mode,
                           const BenchOptions &opts);
-
-/**
- * Load the comparable portion of a bench document.
- * @return false with *err set if @p doc is not a bench document.
- */
-bool benchFromJson(const harness::Json &doc,
-                   std::vector<KernelResult> *out, std::string *err);
-
-/** Name of the machine-speed normalization kernel. */
-extern const char *const kCalibrationKernel;
-
-/** Comparison knobs. */
-struct BenchCompareOptions
-{
-    /** Allowed ops/sec regression per kernel, percent. */
-    double maxRegressPct = 25.0;
-};
-
-/** Outcome of comparing two bench runs. */
-struct BenchCompareReport
-{
-    /** True when no kernel regressed beyond tolerance. */
-    bool ok = true;
-    /** Kernels slower than baseline beyond tolerance. */
-    unsigned regressed = 0;
-    /** Baseline kernels absent from the candidate. */
-    unsigned missing = 0;
-    /** Kernels compared. */
-    unsigned compared = 0;
-    /** True when both runs had a calibration kernel to normalize by. */
-    bool normalized = false;
-    /** Human-readable report. */
-    std::string text;
-};
-
-/**
- * Compare @p baseline against @p candidate kernel by kernel on ops/sec.
- * When both contain the calibration kernel, throughputs are normalized
- * by it first (cross-machine comparison); the calibration kernel itself
- * is never gated.
- */
-BenchCompareReport compareBench(const std::vector<KernelResult> &baseline,
-                                const std::vector<KernelResult> &candidate,
-                                const BenchCompareOptions &opts = {});
 
 } // namespace perf
 } // namespace csync

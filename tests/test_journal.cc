@@ -115,7 +115,8 @@ TEST(Shard, ParseAcceptsAndRejects)
     EXPECT_FALSE(s.whole());
 
     for (const char *bad : {"0/4", "5/4", "x/4", "1/", "/4", "1",
-                            "1/0", "1/4x"}) {
+                            "1/0", "1/4x", "1/-1", "-1/4", "1/+4",
+                            "1/4294967296", "4294967297/4"}) {
         EXPECT_FALSE(parseShard(bad, &s, &err)) << bad;
         EXPECT_FALSE(err.empty());
     }

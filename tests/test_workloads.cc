@@ -1,13 +1,10 @@
 /**
  * @file
  * Tests for the workload state machines and the lock drivers: correct op
- * sequences, spin behavior, trace parsing, and end-to-end runs on a live
- * system.
+ * sequences, spin behavior, and end-to-end runs on a live system.
  */
 
 #include <gtest/gtest.h>
-
-#include <sstream>
 
 #include "proc/sync_ops.hh"
 #include "proc/workloads/critical_section.hh"
@@ -92,62 +89,6 @@ TEST(LockDriver, CacheLockWaitsForInterrupt)
     d.onResult(op, acquired);
     EXPECT_TRUE(d.held());
     EXPECT_EQ(d.releaseOp().type, OpType::UnlockWrite);
-}
-
-TEST(TraceWorkload, ParsesTextFormat)
-{
-    std::istringstream in(
-        "# a comment\n"
-        "R 0x1000\n"
-        "T 5\n"
-        "W 0x1008 42\n"
-        "A 0x1000 1\n"
-        "P\n"
-        "R 0x2000\n"
-        "L 0x3000\n"
-        "U 0x3000 0\n"
-        "N 0x4000 7\n");
-    auto entries = TraceWorkload::parse(in);
-    ASSERT_EQ(entries.size(), 7u);
-    EXPECT_EQ(entries[0].op.type, OpType::Read);
-    EXPECT_EQ(entries[0].op.addr, 0x1000u);
-    EXPECT_EQ(entries[1].think, 5u);
-    EXPECT_EQ(entries[1].op.type, OpType::Write);
-    EXPECT_EQ(entries[1].op.value, 42u);
-    EXPECT_EQ(entries[2].op.type, OpType::Rmw);
-    EXPECT_TRUE(entries[3].op.privateHint);
-    EXPECT_EQ(entries[4].op.type, OpType::LockRead);
-    EXPECT_EQ(entries[5].op.type, OpType::UnlockWrite);
-    EXPECT_EQ(entries[6].op.type, OpType::WriteNoFetch);
-}
-
-TEST(TraceWorkload, RejectsMalformedNumbersAndExtraTokens)
-{
-    struct Case
-    {
-        const char *text;
-        const char *message;
-    };
-    const Case cases[] = {
-        {"R 0x10\nR 0xZZ\n", "trace line 2: bad address '0xZZ'"},
-        {"W 16 abc\n", "trace line 1: bad value 'abc'"},
-        {"R -1\n", "trace line 1: bad address '-1'"},
-        {"R 32 99\n", "trace line 1: unexpected token '99'"},
-        {"T 99999999999999999999\n",
-         "trace line 1: bad cycle count '99999999999999999999'"},
-    };
-    for (const auto &c : cases) {
-        std::istringstream in(c.text);
-        ScopedFatalThrow guard;
-        try {
-            TraceWorkload::parse(in);
-            ADD_FAILURE() << "accepted: " << c.text;
-        } catch (const FatalError &e) {
-            EXPECT_NE(std::string(e.what()).find(c.message),
-                      std::string::npos)
-                << e.what();
-        }
-    }
 }
 
 TEST(TraceWorkload, RunsOnSystem)

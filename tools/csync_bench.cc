@@ -1,28 +1,29 @@
 /**
  * @file
- * csync-bench — the performance-trajectory driver.  Runs named workload
- * kernels (full simulations through the campaign engine, plus a pure-CPU
- * calibration kernel) under the steady-clock bench harness and writes a
- * schema-versioned BENCH document, or compares two such documents and
- * fails on regression:
+ * csync-bench — the simulator's kernel runner.  Runs named workload
+ * kernels (full simulations through the campaign engine) under the
+ * steady-clock bench harness and writes a schema-versioned BENCH
+ * document:
  *
  *   csync-bench --quick -o BENCH_sim_core.json
- *   csync-bench --compare tests/golden/bench_baseline.json \
- *               --max-regress 25
  *
- * Exit codes: 0 success / within tolerance; 1 regression or failed
- * kernel; 2 usage or I/O error.
+ * The document is a trajectory record, not a gate: speed is judged by
+ * tools/perf_ab.py, which runs these kernels for a base and a head
+ * checkout in interleaved pairs on one machine.
+ *
+ * Exit codes: 0 success; 1 failed kernel or missed --min-speedup; 2
+ * usage or I/O error.
  */
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "harness/campaign.hh"
 #include "harness/campaign_io.hh"
+#include "harness/cli_args.hh"
 #include "harness/sweep.hh"
 #include "perf/bench_harness.hh"
 
@@ -34,11 +35,11 @@ namespace
 {
 
 /** One named bench kernel: a protocol/workload pair (or a captured
- *  trace to replay), or calibration. */
+ *  trace to replay). */
 struct KernelSpec
 {
     std::string name;
-    std::string protocol; // empty for the calibration kernel
+    std::string protocol;
     std::string workload;
     unsigned procs = 8;
     std::string topology = "single_bus";
@@ -71,17 +72,15 @@ traceTag(const std::string &path)
 }
 
 /**
- * The standard kernel set.  Calibration comes first so both the emitted
- * document and the compare normalization always see it; the simulator
- * kernels cover the write-once scheme against the classic invalidate
- * and update protocols (and the adaptive hybrid, whose per-block
- * counters ride the hot path) on the contended workloads, plus the
- * Figure 11
- * two-interconnect Aquarius topology (the multi-switch hot path).  The
- * replay kernels stream the committed ~100k-event golden trace through
- * the trace front-end on both topology presets, so the long-horizon
- * replay path (chunk streaming + stall/wake multiplexing) is on the
- * performance trajectory too.  The domain_local pair runs the same
+ * The standard kernel set.  The kernels cover the write-once scheme
+ * against the classic invalidate and update protocols (and the adaptive
+ * hybrid, whose per-block counters ride the hot path) on the contended
+ * workloads, plus the Figure 11 two-interconnect Aquarius topology
+ * (the multi-switch hot path).  The replay kernels stream the committed
+ * ~100k-event golden trace through the trace front-end on both topology
+ * presets, so the long-horizon replay path (chunk streaming +
+ * stall/wake multiplexing) is on the performance trajectory too.  The
+ * domain_local pair runs the same
  * statically-partitionable two-switch job on the serial engine and on
  * the sharded parallel engine (@p mtThreads workers), so the parallel
  * speedup is a measured, gateable quantity (--min-speedup).  The
@@ -95,7 +94,6 @@ std::vector<KernelSpec>
 standardKernels(unsigned mtThreads)
 {
     return {
-        {kCalibrationKernel, "", "", 0},
         {"bitar_random_sharing", "bitar", "random_sharing", 8},
         {"bitar_critical_section", "bitar", "critical_section", 8},
         {"bitar_producer_consumer", "bitar", "producer_consumer", 8},
@@ -123,30 +121,12 @@ standardKernels(unsigned mtThreads)
     };
 }
 
+/** Upper bound on --reps/--warmup: the harness keeps every timing. */
+constexpr unsigned kMaxReps = 100000;
+
 /** The serial/parallel kernel pair the --min-speedup gate compares. */
 const char *const kSpeedupSerial = "bitar_domain_local_two_switch";
 const char *const kSpeedupParallel = "bitar_domain_local_two_switch_mt";
-
-/**
- * Fixed amount of pure CPU work (xorshift64 spins) used to measure the
- * host machine's speed, so baselines recorded elsewhere compare as
- * ratios.  The state is returned through a volatile sink so the loop
- * cannot be optimized away.
- */
-std::uint64_t
-calibrationSpin()
-{
-    constexpr std::uint64_t iters = 20'000'000;
-    std::uint64_t x = 0x9e3779b97f4a7c15ull;
-    for (std::uint64_t i = 0; i < iters; ++i) {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-    }
-    volatile std::uint64_t sink = x;
-    (void)sink;
-    return iters;
-}
 
 /** Build the single-job grid for a simulator kernel. */
 bool
@@ -189,11 +169,10 @@ int
 usage(const char *argv0)
 {
     std::fprintf(stderr,
-        "usage: %s [options]                    run the bench kernels\n"
-        "       %s --compare OLD [NEW] [opts]   gate NEW against OLD\n"
-        "       %s --list                       list kernels\n"
+        "usage: %s [options]    run the bench kernels\n"
+        "       %s --list       list kernels\n"
         "\n"
-        "run options:\n"
+        "options:\n"
         "  --quick              fast mode: 4000 ops/proc, 3 reps\n"
         "  --ops N              memory ops per processor (default "
         "20000)\n"
@@ -208,51 +187,9 @@ usage(const char *argv0)
         "                       >= R x the serial one (ops/sec ratio)\n"
         "  -o, --out FILE       bench JSON output (default "
         "BENCH_sim_core.json)\n"
-        "  -q, --quiet          no per-kernel progress on stderr\n"
-        "\n"
-        "compare options (NEW omitted: run the kernels fresh first):\n"
-        "  --max-regress PCT    allowed ops/sec regression per kernel "
-        "(default 25)\n",
-        argv0, argv0, argv0);
+        "  -q, --quiet          no per-kernel progress on stderr\n",
+        argv0, argv0);
     return 2;
-}
-
-bool
-splitList(const std::string &arg, std::vector<std::string> *out)
-{
-    out->clear();
-    std::string cur;
-    for (char c : arg) {
-        if (c == ',') {
-            if (!cur.empty())
-                out->push_back(cur);
-            cur.clear();
-        } else {
-            cur += c;
-        }
-    }
-    if (!cur.empty())
-        out->push_back(cur);
-    return !out->empty();
-}
-
-bool
-loadBench(const std::string &path, std::vector<KernelResult> *out,
-          std::string *err)
-{
-    std::string text;
-    if (!readFile(path, &text, err))
-        return false;
-    Json doc = Json::parse(text, err);
-    if (!err->empty()) {
-        *err = path + ": " + *err;
-        return false;
-    }
-    if (!benchFromJson(doc, out, err)) {
-        *err = path + ": " + *err;
-        return false;
-    }
-    return true;
 }
 
 /**
@@ -284,40 +221,34 @@ runKernels(const std::vector<std::string> &only, std::uint64_t ops,
 
     BenchHarness harness;
     for (const auto &k : kernels) {
-        KernelResult r;
-        if (k.protocol.empty()) {
-            r = harness.run(k.name, calibrationSpin, opts);
-        } else {
-            JobSpec job;
-            if (!makeJob(k, ops, &job, err))
-                return false;
-            std::string job_err;
-            std::map<std::string, double> recorded;
-            r = harness.run(k.name,
-                            [&job, &job_err, &k,
-                             &recorded]() -> std::uint64_t {
-                JobResult row = CampaignRunner::runJob(job);
-                if (!row.ok())
-                    job_err = row.status + ": " + row.error;
-                for (const auto &stat : k.recordStats) {
-                    auto it = row.stats.find(stat);
-                    if (it != row.stats.end())
-                        recorded[stat] = it->second;
-                }
-                return row.memOps;
-            }, opts);
-            r.stats = std::move(recorded);
-            if (!job_err.empty()) {
-                std::fprintf(stderr, "csync-bench: kernel '%s' failed "
-                             "(%s)\n", k.name.c_str(), job_err.c_str());
-                *failed = true;
-                continue;
+        JobSpec job;
+        if (!makeJob(k, ops, &job, err))
+            return false;
+        std::string job_err;
+        std::map<std::string, double> recorded;
+        KernelResult r = harness.run(k.name,
+                                     [&job, &job_err, &k,
+                                      &recorded]() -> std::uint64_t {
+            JobResult row = CampaignRunner::runJob(job);
+            if (!row.ok())
+                job_err = row.status + ": " + row.error;
+            for (const auto &stat : k.recordStats) {
+                auto it = row.stats.find(stat);
+                if (it != row.stats.end())
+                    recorded[stat] = it->second;
             }
-            r.protocol = k.protocol;
-            r.workload = k.trace.empty() ? k.workload
-                                         : traceTag(k.trace);
-            r.procs = k.procs;
+            return row.memOps;
+        }, opts);
+        r.stats = std::move(recorded);
+        if (!job_err.empty()) {
+            std::fprintf(stderr, "csync-bench: kernel '%s' failed (%s)\n",
+                         k.name.c_str(), job_err.c_str());
+            *failed = true;
+            continue;
         }
+        r.protocol = k.protocol;
+        r.workload = k.trace.empty() ? k.workload : traceTag(k.trace);
+        r.procs = k.procs;
         if (!quiet) {
             std::fprintf(stderr, "%-28s %9.2f ms median  %12.3g ops/s  "
                          "%8.1f ns/op\n", r.name.c_str(), r.medianMs,
@@ -332,20 +263,12 @@ int
 doList(unsigned mtThreads)
 {
     for (const auto &k : standardKernels(mtThreads)) {
-        if (k.protocol.empty()) {
-            std::printf("%-28s (pure-CPU machine-speed reference)\n",
-                        k.name.c_str());
-        } else {
-            std::string wl =
-                k.trace.empty() ? k.workload : traceTag(k.trace);
-            std::printf("%-32s %s / %s, %u procs%s%s%s\n",
-                        k.name.c_str(), k.protocol.c_str(), wl.c_str(),
-                        k.procs,
-                        k.topology == "single_bus" ? "" : ", ",
-                        k.topology == "single_bus" ? ""
-                                                   : k.topology.c_str(),
-                        k.simThreads > 1 ? " (parallel engine)" : "");
-        }
+        std::string wl = k.trace.empty() ? k.workload : traceTag(k.trace);
+        std::printf("%-32s %s / %s, %u procs%s%s%s\n", k.name.c_str(),
+                    k.protocol.c_str(), wl.c_str(), k.procs,
+                    k.topology == "single_bus" ? "" : ", ",
+                    k.topology == "single_bus" ? "" : k.topology.c_str(),
+                    k.simThreads > 1 ? " (parallel engine)" : "");
     }
     return 0;
 }
@@ -390,16 +313,14 @@ int
 main(int argc, char **argv)
 {
     std::string out_path = "BENCH_sim_core.json";
-    std::string compare_old, compare_new;
     std::vector<std::string> only;
-    bool compare_mode = false, list_mode = false, quiet = false;
-    bool quick = false;
+    bool list_mode = false, quiet = false, quick = false;
     std::uint64_t ops = 20000;
     unsigned sim_threads = 4;
     double min_speedup = 0; // 0 = gate off
     bool have_ops = false, have_reps = false;
     BenchOptions opts;
-    BenchCompareOptions cmp;
+    std::string err;
 
     auto next_arg = [&](int &i, const char *flag) -> const char * {
         if (i + 1 >= argc) {
@@ -420,31 +341,23 @@ main(int argc, char **argv)
             list_mode = true;
         } else if (a == "--quick") {
             quick = true;
-        } else if (a == "--compare") {
-            if (!(v = next_arg(i, "--compare")))
-                return 2;
-            compare_mode = true;
-            compare_old = v;
-            if (i + 1 < argc && argv[i + 1][0] != '-')
-                compare_new = argv[++i];
-        } else if (a == "--max-regress") {
-            if (!(v = next_arg(i, "--max-regress")))
-                return 2;
-            cmp.maxRegressPct = std::atof(v);
         } else if (a == "--ops") {
             if (!(v = next_arg(i, "--ops")))
                 return 2;
-            ops = std::strtoull(v, nullptr, 10);
+            if (!parseUnsignedArg(a, v, &ops, &err, 1))
+                return cliError(err);
             have_ops = true;
         } else if (a == "--reps") {
             if (!(v = next_arg(i, "--reps")))
                 return 2;
-            opts.reps = unsigned(std::strtoul(v, nullptr, 10));
+            if (!parseUnsignedArg(a, v, &opts.reps, &err, 1, kMaxReps))
+                return cliError(err);
             have_reps = true;
         } else if (a == "--warmup") {
             if (!(v = next_arg(i, "--warmup")))
                 return 2;
-            opts.warmup = unsigned(std::strtoul(v, nullptr, 10));
+            if (!parseUnsignedArg(a, v, &opts.warmup, &err, 0, kMaxReps))
+                return cliError(err);
         } else if (a == "--kernels") {
             if (!(v = next_arg(i, "--kernels")))
                 return 2;
@@ -453,14 +366,14 @@ main(int argc, char **argv)
         } else if (a == "--sim-threads") {
             if (!(v = next_arg(i, "--sim-threads")))
                 return 2;
-            unsigned long n = std::strtoul(v, nullptr, 10);
-            if (n == 0 || n > SystemConfig::kMaxSimThreads)
-                return cliError("--sim-threads must be in 1..64");
-            sim_threads = unsigned(n);
+            if (!parseUnsignedArg(a, v, &sim_threads, &err, 1,
+                                  SystemConfig::kMaxSimThreads))
+                return cliError(err);
         } else if (a == "--min-speedup") {
             if (!(v = next_arg(i, "--min-speedup")))
                 return 2;
-            min_speedup = std::atof(v);
+            if (!parseDoubleArg(a, v, &min_speedup, &err))
+                return cliError(err);
             if (min_speedup <= 0)
                 return cliError("--min-speedup must be > 0");
         } else if (a == "-o" || a == "--out") {
@@ -485,21 +398,6 @@ main(int argc, char **argv)
         if (!have_reps)
             opts.reps = 3;
     }
-    if (opts.reps == 0)
-        return cliError("--reps must be >= 1");
-
-    std::string err;
-
-    if (compare_mode && !compare_new.empty()) {
-        // Pure file-vs-file comparison: no kernels run.
-        std::vector<KernelResult> oldr, newr;
-        if (!loadBench(compare_old, &oldr, &err) ||
-            !loadBench(compare_new, &newr, &err))
-            return cliError(err);
-        BenchCompareReport rep = compareBench(oldr, newr, cmp);
-        std::fputs(rep.text.c_str(), stdout);
-        return rep.ok ? 0 : 1;
-    }
 
     std::vector<KernelResult> results;
     bool failed = false;
@@ -509,28 +407,17 @@ main(int argc, char **argv)
 
     Json doc = benchToJson(results, "sim_core",
                            quick ? "quick" : "full", opts);
-    if (!compare_mode || !out_path.empty()) {
-        if (!writeFile(out_path, doc.dump(0) + "\n", &err))
-            return cliError(err);
-        if (!quiet)
-            std::fprintf(stderr, "csync-bench: wrote %s (%zu kernels)\n",
-                         out_path.c_str(), results.size());
-    }
+    if (!writeFile(out_path, doc.dump(0) + "\n", &err))
+        return cliError(err);
+    if (!quiet)
+        std::fprintf(stderr, "csync-bench: wrote %s (%zu kernels)\n",
+                     out_path.c_str(), results.size());
 
     int speedup_rc = 0;
     if (min_speedup > 0) {
         speedup_rc = checkSpeedup(results, min_speedup, sim_threads);
         if (speedup_rc == 2)
             return 2;
-    }
-
-    if (compare_mode) {
-        std::vector<KernelResult> baseline;
-        if (!loadBench(compare_old, &baseline, &err))
-            return cliError(err);
-        BenchCompareReport rep = compareBench(baseline, results, cmp);
-        std::fputs(rep.text.c_str(), stdout);
-        return (rep.ok && !failed && speedup_rc == 0) ? 0 : 1;
     }
     return (failed || speedup_rc != 0) ? 1 : 0;
 }

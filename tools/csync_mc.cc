@@ -18,11 +18,12 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "harness/campaign_io.hh"
+#include "harness/cli_args.hh"
 #include "mc/explorer.hh"
 #include "mc/fuzzer.hh"
 #include "sim/logging.hh"
@@ -30,6 +31,7 @@
 
 using namespace csync;
 using namespace csync::mc;
+using harness::parseUnsignedArg;
 
 namespace
 {
@@ -76,36 +78,6 @@ cliError(const std::string &msg)
     return 2;
 }
 
-bool
-splitList(const std::string &arg, std::vector<std::string> *out)
-{
-    out->clear();
-    std::string cur;
-    for (char c : arg) {
-        if (c == ',') {
-            if (!cur.empty())
-                out->push_back(cur);
-            cur.clear();
-        } else {
-            cur += c;
-        }
-    }
-    if (!cur.empty())
-        out->push_back(cur);
-    return !out->empty();
-}
-
-bool
-parseUnsigned(const std::string &arg, unsigned *out)
-{
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(arg.c_str(), &end, 10);
-    if (end != arg.c_str() + arg.size() || arg.empty())
-        return false;
-    *out = unsigned(v);
-    return true;
-}
-
 int
 emit(const harness::Json &doc, const std::string &out_path)
 {
@@ -150,8 +122,9 @@ doExplore(const std::vector<std::string> &args)
             return i + 1 < args.size() ? &args[++i] : nullptr;
         };
         const std::string *v;
+        std::string err;
         if (a == "--protocols") {
-            if (!(v = value()) || !splitList(*v, &protocols))
+            if (!(v = value()) || !harness::splitList(*v, &protocols))
                 return cliError("--protocols needs a comma list");
         } else if (a == "--bound") {
             if (!(v = value()))
@@ -163,14 +136,20 @@ doExplore(const std::vector<std::string> &args)
             else
                 return cliError("unknown bound '" + *v + "'");
         } else if (a == "--caches") {
-            if (!(v = value()) || !parseUnsigned(*v, &bounds.caches))
+            if (!(v = value()))
                 return cliError("--caches needs a number");
+            if (!parseUnsignedArg(a, *v, &bounds.caches, &err))
+                return cliError(err);
         } else if (a == "--blocks") {
-            if (!(v = value()) || !parseUnsigned(*v, &bounds.blocks))
+            if (!(v = value()))
                 return cliError("--blocks needs a number");
+            if (!parseUnsignedArg(a, *v, &bounds.blocks, &err))
+                return cliError(err);
         } else if (a == "--depth") {
-            if (!(v = value()) || !parseUnsigned(*v, &bounds.depth))
+            if (!(v = value()))
                 return cliError("--depth needs a number");
+            if (!parseUnsignedArg(a, *v, &bounds.depth, &err))
+                return cliError(err);
         } else if (a == "--no-locks") {
             bounds.lockOps = false;
         } else if (a == "--no-evicts") {
@@ -258,30 +237,24 @@ doFuzz(const std::vector<std::string> &args)
     std::string out_path;
     bool quiet = false;
 
+    const std::map<std::string, unsigned *> numbers = {
+        {"--seeds", &seeds},
+        {"--ops", &opts.ops},
+        {"--caches", &opts.caches},
+        {"--blocks", &opts.blocks},
+    };
     for (std::size_t i = 0; i < args.size(); ++i) {
         const std::string &a = args[i];
         auto value = [&]() -> const std::string * {
             return i + 1 < args.size() ? &args[++i] : nullptr;
         };
         const std::string *v;
-        if (a == "--seeds") {
-            if (!(v = value()) || !parseUnsigned(*v, &seeds) || !seeds)
-                return cliError("--seeds needs a nonzero number");
-        } else if (a == "--ops") {
-            if (!(v = value()) || !parseUnsigned(*v, &opts.ops) ||
-                !opts.ops) {
-                return cliError("--ops needs a nonzero number");
-            }
-        } else if (a == "--caches") {
-            if (!(v = value()) || !parseUnsigned(*v, &opts.caches) ||
-                !opts.caches) {
-                return cliError("--caches needs a nonzero number");
-            }
-        } else if (a == "--blocks") {
-            if (!(v = value()) || !parseUnsigned(*v, &opts.blocks) ||
-                !opts.blocks) {
-                return cliError("--blocks needs a nonzero number");
-            }
+        std::string err;
+        if (auto num = numbers.find(a); num != numbers.end()) {
+            if (!(v = value()))
+                return cliError(a + " needs a nonzero number");
+            if (!parseUnsignedArg(a, *v, num->second, &err, 1))
+                return cliError(err);
         } else if (a == "-o" || a == "--out") {
             if (!(v = value()))
                 return cliError("-o needs a path");

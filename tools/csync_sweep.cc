@@ -33,6 +33,7 @@
 #include "coherence/protocol.hh"
 #include "harness/campaign.hh"
 #include "harness/campaign_io.hh"
+#include "harness/cli_args.hh"
 #include "harness/compare.hh"
 #include "harness/journal.hh"
 #include "harness/runner_proc.hh"
@@ -120,62 +121,6 @@ usage(const char *argv0)
         "(default 0)\n",
         argv0, argv0, argv0, argv0);
     return 2;
-}
-
-bool
-splitList(const std::string &arg, std::vector<std::string> *out)
-{
-    out->clear();
-    std::string cur;
-    for (char c : arg) {
-        if (c == ',') {
-            if (!cur.empty())
-                out->push_back(cur);
-            cur.clear();
-        } else {
-            cur += c;
-        }
-    }
-    if (!cur.empty())
-        out->push_back(cur);
-    return !out->empty();
-}
-
-template <typename T>
-bool
-splitNumbers(const std::string &arg, std::vector<T> *out)
-{
-    std::vector<std::string> parts;
-    if (!splitList(arg, &parts))
-        return false;
-    out->clear();
-    for (const auto &p : parts) {
-        char *end = nullptr;
-        unsigned long long v = std::strtoull(p.c_str(), &end, 10);
-        if (end != p.c_str() + p.size())
-            return false;
-        out->push_back(T(v));
-    }
-    return true;
-}
-
-/** Parse a comma list of doubles (sign allowed: validation happens in
- *  SweepSpec::expand so a negative rate is a usage error, exit 2). */
-bool
-splitDoubles(const std::string &arg, std::vector<double> *out)
-{
-    std::vector<std::string> parts;
-    if (!splitList(arg, &parts))
-        return false;
-    out->clear();
-    for (const auto &p : parts) {
-        char *end = nullptr;
-        double v = std::strtod(p.c_str(), &end);
-        if (end != p.c_str() + p.size())
-            return false;
-        out->push_back(v);
-    }
-    return true;
 }
 
 int
@@ -373,6 +318,7 @@ main(int argc, char **argv)
     bool have_procs = false, have_bw = false, have_frames = false;
     bool have_seeds = false, have_ops = false, have_ticks = false;
     bool have_frates = false, have_fseeds = false, have_fkinds = false;
+    std::string err;
 
     auto next_arg = [&](int &i, const char *flag) -> const char * {
         if (i + 1 >= argc) {
@@ -400,7 +346,8 @@ main(int argc, char **argv)
         } else if (a == "--tolerance") {
             if (!(v = next_arg(i, "--tolerance")))
                 return 2;
-            tolerance = std::atof(v);
+            if (!parseDoubleArg(a, v, &tolerance, &err))
+                return cliError(err);
         } else if (a == "--spec") {
             if (!(v = next_arg(i, "--spec")))
                 return 2;
@@ -440,39 +387,39 @@ main(int argc, char **argv)
         } else if (a == "--procs") {
             if (!(v = next_arg(i, "--procs")))
                 return 2;
-            have_procs = splitNumbers(v, &cli.processorCounts);
-            if (!have_procs)
-                return cliError("--procs: bad number list");
+            if (!parseListArg(a, v, &cli.processorCounts, &err))
+                return cliError(err);
+            have_procs = true;
         } else if (a == "--block-words") {
             if (!(v = next_arg(i, "--block-words")))
                 return 2;
-            have_bw = splitNumbers(v, &cli.blockWords);
-            if (!have_bw)
-                return cliError("--block-words: bad number list");
+            if (!parseListArg(a, v, &cli.blockWords, &err))
+                return cliError(err);
+            have_bw = true;
         } else if (a == "--frames") {
             if (!(v = next_arg(i, "--frames")))
                 return 2;
-            have_frames = splitNumbers(v, &cli.frames);
-            if (!have_frames)
-                return cliError("--frames: bad number list");
+            if (!parseListArg(a, v, &cli.frames, &err))
+                return cliError(err);
+            have_frames = true;
         } else if (a == "--seeds") {
             if (!(v = next_arg(i, "--seeds")))
                 return 2;
-            have_seeds = splitNumbers(v, &cli.seeds);
-            if (!have_seeds)
-                return cliError("--seeds: bad number list");
+            if (!parseListArg(a, v, &cli.seeds, &err))
+                return cliError(err);
+            have_seeds = true;
         } else if (a == "--fault-rates") {
             if (!(v = next_arg(i, "--fault-rates")))
                 return 2;
-            have_frates = splitDoubles(v, &cli.faultRates);
-            if (!have_frates)
-                return cliError("--fault-rates: bad number list");
+            if (!parseListArg(a, v, &cli.faultRates, &err))
+                return cliError(err);
+            have_frates = true;
         } else if (a == "--fault-seeds") {
             if (!(v = next_arg(i, "--fault-seeds")))
                 return 2;
-            have_fseeds = splitNumbers(v, &cli.faultSeeds);
-            if (!have_fseeds)
-                return cliError("--fault-seeds: bad number list");
+            if (!parseListArg(a, v, &cli.faultSeeds, &err))
+                return cliError(err);
+            have_fseeds = true;
         } else if (a == "--fault-kinds") {
             if (!(v = next_arg(i, "--fault-kinds")))
                 return 2;
@@ -482,27 +429,26 @@ main(int argc, char **argv)
         } else if (a == "--ops") {
             if (!(v = next_arg(i, "--ops")))
                 return 2;
-            cli.opsPerProcessor = std::strtoull(v, nullptr, 10);
+            if (!parseUnsignedArg(a, v, &cli.opsPerProcessor, &err))
+                return cliError(err);
             have_ops = true;
         } else if (a == "--max-ticks") {
             if (!(v = next_arg(i, "--max-ticks")))
                 return 2;
-            cli.maxTicks = std::strtoull(v, nullptr, 10);
+            if (!parseUnsignedArg(a, v, &cli.maxTicks, &err))
+                return cliError(err);
             have_ticks = true;
         } else if (a == "--jobs") {
             if (!(v = next_arg(i, "--jobs")))
                 return 2;
-            jobs = unsigned(std::strtoul(v, nullptr, 10));
+            if (!parseUnsignedArg(a, v, &jobs, &err))
+                return cliError(err);
         } else if (a == "--sim-threads") {
             if (!(v = next_arg(i, "--sim-threads")))
                 return 2;
-            sim_threads = unsigned(std::strtoul(v, nullptr, 10));
-            if (sim_threads == 0 ||
-                sim_threads > SystemConfig::kMaxSimThreads) {
-                return cliError(csprintf(
-                    "--sim-threads: %u is outside 1..%u", sim_threads,
-                    SystemConfig::kMaxSimThreads));
-            }
+            if (!parseUnsignedArg(a, v, &sim_threads, &err, 1,
+                                  SystemConfig::kMaxSimThreads))
+                return cliError(err);
         } else if (a == "-o" || a == "--out") {
             if (!(v = next_arg(i, "--out")))
                 return 2;
@@ -530,15 +476,18 @@ main(int argc, char **argv)
         } else if (a == "--wall-deadline") {
             if (!(v = next_arg(i, "--wall-deadline")))
                 return 2;
-            wall_deadline = std::atof(v);
+            if (!parseDoubleArg(a, v, &wall_deadline, &err))
+                return cliError(err);
         } else if (a == "--retries") {
             if (!(v = next_arg(i, "--retries")))
                 return 2;
-            retries = unsigned(std::strtoul(v, nullptr, 10));
+            if (!parseUnsignedArg(a, v, &retries, &err))
+                return cliError(err);
         } else if (a == "--retry-backoff") {
             if (!(v = next_arg(i, "--retry-backoff")))
                 return 2;
-            retry_backoff = std::atof(v);
+            if (!parseDoubleArg(a, v, &retry_backoff, &err))
+                return cliError(err);
         } else if (a == "--isolate") {
             isolate = true;
         } else if (a == "-q" || a == "--quiet") {
@@ -576,7 +525,6 @@ main(int argc, char **argv)
     SweepSpec spec;
     Shard shard;
     JournalData resumed;
-    std::string err;
     if (!resume_path.empty()) {
         if (!loadJournal(resume_path, &resumed, &err))
             return cliError(err);

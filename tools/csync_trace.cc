@@ -17,14 +17,15 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
+#include "harness/cli_args.hh"
 #include "trace/gen.hh"
 #include "trace/reader.hh"
 
 using namespace csync;
 using namespace csync::trace;
+using harness::parseUnsignedArg;
 
 namespace
 {
@@ -63,7 +64,7 @@ int
 doGen(int argc, char **argv)
 {
     GenParams p;
-    std::string out_path;
+    std::string out_path, err;
 
     auto next_arg = [&](int &i, const char *flag) -> const char * {
         if (i + 1 >= argc) {
@@ -88,19 +89,23 @@ doGen(int argc, char **argv)
         } else if (a == "--threads") {
             if (!(v = next_arg(i, "--threads")))
                 return 2;
-            p.threads = unsigned(std::strtoul(v, nullptr, 10));
+            if (!parseUnsignedArg(a, v, &p.threads, &err))
+                return cliError(err);
         } else if (a == "--events") {
             if (!(v = next_arg(i, "--events")))
                 return 2;
-            p.events = std::strtoull(v, nullptr, 10);
+            if (!parseUnsignedArg(a, v, &p.events, &err))
+                return cliError(err);
         } else if (a == "--seed") {
             if (!(v = next_arg(i, "--seed")))
                 return 2;
-            p.seed = std::strtoull(v, nullptr, 10);
+            if (!parseUnsignedArg(a, v, &p.seed, &err))
+                return cliError(err);
         } else if (a == "--chunk-events") {
             if (!(v = next_arg(i, "--chunk-events")))
                 return 2;
-            p.chunkEvents = unsigned(std::strtoul(v, nullptr, 10));
+            if (!parseUnsignedArg(a, v, &p.chunkEvents, &err, 1))
+                return cliError(err);
         } else if (a == "--list-kernels") {
             for (const auto &k : genKernelNames())
                 std::printf("%s\n", k.c_str());
@@ -111,10 +116,7 @@ doGen(int argc, char **argv)
     }
     if (out_path.empty())
         return cliError("gen needs an output file (-o FILE)");
-    if (p.chunkEvents == 0)
-        return cliError("--chunk-events must be nonzero");
 
-    std::string err;
     if (!generateTrace(p, out_path, &err))
         return cliError(err);
 
