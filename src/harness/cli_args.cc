@@ -74,12 +74,16 @@ bool
 parseDoubleArg(const std::string &flag, const std::string &tok,
                double *out, std::string *err, double lo, double hi)
 {
-    // strtod alone would take a sign, leading space, "inf" and "nan".
+    // strtod alone would take a sign, leading space, "inf", "nan" and
+    // hex floats ("0x10", "0x1p3").
     char *end = nullptr;
-    bool lead = !tok.empty() && ((tok[0] >= '0' && tok[0] <= '9') ||
-                                 tok[0] == '.');
-    double v = lead ? std::strtod(tok.c_str(), &end) : 0;
-    if (!lead || *end != '\0' || !std::isfinite(v)) {
+    bool decimal = !tok.empty() && ((tok[0] >= '0' && tok[0] <= '9') ||
+                                    tok[0] == '.');
+    for (char c : tok)
+        decimal = decimal && ((c >= '0' && c <= '9') || c == '.' ||
+                              c == 'e' || c == 'E' || c == '+' || c == '-');
+    double v = decimal ? std::strtod(tok.c_str(), &end) : 0;
+    if (!decimal || *end != '\0' || !std::isfinite(v)) {
         *err = csprintf("%s: '%s' is not an unsigned number",
                         flag.c_str(), tok.c_str());
         return false;

@@ -82,8 +82,10 @@ TEST(CliArgs, ParsesUnsignedFiniteReals)
     EXPECT_DOUBLE_EQ(d, 0.25);
     EXPECT_TRUE(parseDoubleArg("--fault-rates", "1e-3", &d, &err));
     EXPECT_DOUBLE_EQ(d, 1e-3);
+    EXPECT_TRUE(parseDoubleArg("--tolerance", "2.5E+1", &d, &err));
+    EXPECT_DOUBLE_EQ(d, 25);
     for (const char *tok : {"", "-0.1", "+1", " 1", "1x", "inf", "nan",
-                            "1e999"}) {
+                            "1e999", "0x10", "0x1p3", "1e"}) {
         EXPECT_FALSE(parseDoubleArg("--tolerance", tok, &d, &err)) << tok;
         EXPECT_EQ(err.find("--tolerance: '"), 0u) << err;
     }

@@ -4,11 +4,12 @@
 Feeds the rule synthetic samples, five pairs like the driver takes:
 equal sides pass, a 25%-slower head fails, one outlier pair does not
 fail, both better-directions are judged, and a metric present on only
-one side is skipped.
+one side, or absent from the head's end-to-end list, is skipped.
 """
 
 import os
 import sys
+import tempfile
 import unittest
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -80,6 +81,37 @@ class DecisionRule(unittest.TestCase):
                             for l in skipped))
         self.assertTrue(any("new_kernel" in l and "head" in l
                             for l in skipped))
+
+    def test_metric_the_head_does_not_list_is_skipped(self):
+        # The base's run.py still emits old_jobs_per_s; the head's
+        # BENCHMARK.json renamed it, and added a metric only it emits.
+        base = {"w/old_jobs_per_s": BASE, "w/jobs_per_s": BASE,
+                "csync-bench/k/ns_per_op": BASE}
+        head = {"w/old_jobs_per_s": scaled(BASE, 0.5),
+                "w/jobs_per_s": scaled(BASE, 0.5),
+                "w/new_metric": BASE,
+                "csync-bench/k/ns_per_op": scaled(BASE, 2.0)}
+        better = perf_ab.directions(set(base) | set(head),
+                                    {"jobs_per_s": "higher",
+                                     "new_metric": "lower"})
+        self.assertEqual(better, {"w/jobs_per_s": "higher",
+                                  "w/new_metric": "lower",
+                                  "csync-bench/k/ns_per_op": "lower"})
+        regressed, lines = perf_ab.judge_all(base, head, better)
+        self.assertEqual(regressed,
+                         ["csync-bench/k/ns_per_op", "w/jobs_per_s"])
+        skipped = [l for l in lines if l.startswith("skip")]
+        self.assertEqual(len(skipped), 2)
+        self.assertTrue(any("w/old_jobs_per_s" in l and "not an end-to-end"
+                            in l for l in skipped))
+        self.assertTrue(any("w/new_metric" in l and "head side" in l
+                            for l in skipped))
+
+
+class ExitStatus(unittest.TestCase):
+    def test_checkout_without_benchmark_file_is_a_run_failure(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            self.assertEqual(perf_ab.main(["perf_ab.py", tmp, tmp]), 2)
 
 
 if __name__ == "__main__":

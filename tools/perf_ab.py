@@ -18,10 +18,11 @@ count, run lengths and noise floor are the constants below.
    kernel only one side has is skipped).  A slow phase of a shared host
    then lands on both sides alike instead of on one.
 3. Judge.  The metrics are every end-to-end metric of every workload,
-   better-direction from BENCHMARK.json, and every kernel's ns/op.  A
-   metric regresses when the head's median is worse than the base's
-   median by more than both the base's own interquartile range and
-   FLOOR times the base median.
+   better-direction from BENCHMARK.json (a metric the head's file does
+   not list is skipped), and every kernel's ns/op.  A metric regresses
+   when the head's median is worse than the base's median by more than
+   both the base's own interquartile range and FLOOR times the base
+   median.
 
 Exit status: 0 no metric regressed; 1 at least one did (each is named);
 2 bad arguments, or a build or run failed.
@@ -59,7 +60,7 @@ def median_iqr(samples):
     return q2, q3 - q1
 
 
-def judge(base, head, better, floor=FLOOR):
+def judge(base, head, better):
     """The decision rule for one metric.
 
     base, head: the samples of each side.  better: "lower" or "higher".
@@ -68,12 +69,30 @@ def judge(base, head, better, floor=FLOOR):
     base_med, base_iqr = median_iqr(base)
     head_med, _ = median_iqr(head)
     worse = head_med - base_med if better == "lower" else base_med - head_med
-    return (worse > max(base_iqr, floor * abs(base_med)), base_med, base_iqr,
+    return (worse > max(base_iqr, FLOOR * abs(base_med)), base_med, base_iqr,
             head_med)
 
 
-def judge_all(base, head, better, floor=FLOOR):
-    """Judge every metric both sides measured.
+def directions(names, end_to_end):
+    """Better-direction of each metric name the head can judge.
+
+    names: "unit/metric" names.  end_to_end: {metric: "lower"|"higher"}
+    from the head's BENCHMARK.json.  Kernel ns/op is lower-better; a
+    perfbench metric the head does not list (one the base's run.py
+    emits under an old name, say) gets no entry.
+    """
+    better = {}
+    for name in names:
+        unit, metric = name.split("/", 1)
+        if unit == BENCH_UNIT:
+            better[name] = "lower"
+        elif metric in end_to_end:
+            better[name] = end_to_end[metric]
+    return better
+
+
+def judge_all(base, head, better):
+    """Judge every metric both sides measured and the head can judge.
 
     base, head: {metric: [samples]}.  better: {metric: "lower"|"higher"}.
     Returns (names of regressed metrics, report lines).
@@ -84,7 +103,11 @@ def judge_all(base, head, better, floor=FLOOR):
             lines.append("skip    %s: only the %s side has it"
                          % (name, "base" if name in base else "head"))
             continue
-        bad, b, iqr, h = judge(base[name], head[name], better[name], floor)
+        if name not in better:
+            lines.append("skip    %s: not an end-to-end metric of the head"
+                         % name)
+            continue
+        bad, b, iqr, h = judge(base[name], head[name], better[name])
         change = (h - b) / b * 100 if b else 0.0
         lines.append("%s %-54s base %-9.4g IQR %-8.3g head %-9.4g %+6.1f%% "
                      "(%s is better)"
@@ -163,13 +186,12 @@ def main(argv):
         return 2
     sides = {"base": os.path.abspath(argv[1]),
              "head": os.path.abspath(argv[2])}
-    with open(os.path.join(sides["head"], "BENCHMARK.json")) as f:
-        spec = json.load(f)
-    workloads = [w["name"] for w in spec["workloads"]]
-    e2e = {m["name"]: m["better"] for m in spec["end_to_end"]}
-
     samples = {"base": {}, "head": {}}
     try:
+        with open(os.path.join(sides["head"], "BENCHMARK.json")) as f:
+            spec = json.load(f)
+        workloads = [w["name"] for w in spec["workloads"]]
+        e2e = {m["name"]: m["better"] for m in spec["end_to_end"]}
         kernels = {}
         for side, checkout in sides.items():
             print("perf_ab: building %s (%s)" % (side, checkout),
@@ -196,10 +218,7 @@ def main(argv):
         print("perf_ab: %s" % e, file=sys.stderr)
         return 2
 
-    better = {}
-    for name in set(samples["base"]) | set(samples["head"]):
-        unit, metric = name.split("/", 1)
-        better[name] = "lower" if unit == BENCH_UNIT else e2e[metric]
+    better = directions(set(samples["base"]) | set(samples["head"]), e2e)
     regressed, lines = judge_all(samples["base"], samples["head"], better)
     print("\n".join(lines))
     print("perf_ab: %d pairs, floor %.0f%%: %s"
