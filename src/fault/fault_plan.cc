@@ -140,9 +140,9 @@ FaultPlan::fromJson(const harness::Json &doc, FaultPlan *out,
                 return fail("\"rate\" must be a number");
             plan.rate = v.asNumber();
         } else if (key == "seed") {
-            if (!v.isNumber() || v.asNumber() < 0)
-                return fail("\"seed\" must be a non-negative number");
-            plan.seed = std::uint64_t(v.asNumber());
+            std::string why;
+            if (!harness::readUnsigned(v, "\"seed\"", &plan.seed, &why))
+                return fail(why);
         } else if (key == "target") {
             if (!v.isString())
                 return fail("\"target\" must be a switch name string");
@@ -165,11 +165,11 @@ FaultPlan::fromJson(const harness::Json &doc, FaultPlan *out,
                     match = &f;
             if (!match)
                 return fail(csprintf("unknown key \"%s\"", key.c_str()));
-            if (!v.isNumber() || v.asNumber() < 0) {
-                return fail(csprintf(
-                    "\"%s\" must be a non-negative number", match->key));
+            std::string why;
+            if (!harness::readUnsigned(v, "\"" + key + "\"", match->dst,
+                                       &why)) {
+                return fail(why);
             }
-            *match->dst = Tick(v.asNumber());
         }
     }
     std::string why;

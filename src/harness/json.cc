@@ -1,6 +1,7 @@
 #include "harness/json.hh"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdlib>
 
 #include "sim/logging.hh"
@@ -510,6 +511,32 @@ Json::dump(int indent) const
         out.append(std::size_t(indent), ' ');
     dumpTo(out, indent);
     return out;
+}
+
+bool
+readAddress(const Json &v, const std::string &what, std::uint64_t *out,
+            std::string *err)
+{
+    if (v.isNumber())
+        return readUnsigned(v, what, out, err);
+    if (v.isString()) {
+        // strtoull would skip blanks, take a sign and saturate on
+        // overflow; none of those is an address.
+        const std::string &s = v.asString();
+        char *end = nullptr;
+        errno = 0;
+        unsigned long long a = std::strtoull(s.c_str(), &end, 0);
+        if (!s.empty() && std::isdigit((unsigned char)s[0]) &&
+            *end == '\0' && errno == 0) {
+            *out = a;
+            return true;
+        }
+    }
+    if (err) {
+        *err = what + " must be an unsigned integer or a hex/decimal "
+                      "string";
+    }
+    return false;
 }
 
 } // namespace harness

@@ -9,9 +9,12 @@
 #ifndef CSYNC_HARNESS_JSON_HH
 #define CSYNC_HARNESS_JSON_HH
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -94,6 +97,45 @@ class Json
     std::vector<Json> arr_;
     std::vector<std::pair<std::string, Json>> obj_;
 };
+
+/**
+ * Read @p v as an unsigned integer of type T.  Only an integral,
+ * non-negative number no larger than T's maximum is accepted: casting a
+ * fraction truncates it, a too-large value wraps, and a negative one is
+ * undefined behaviour.
+ *
+ * @param what Names the field in the error, e.g. "\"seed\"" or
+ *             "\"seeds\"[2]".
+ * @param[out] err On failure: "<what> must be an integer in 0..<max>".
+ */
+template <typename T>
+bool
+readUnsigned(const Json &v, const std::string &what, T *out,
+             std::string *err)
+{
+    static_assert(std::is_unsigned_v<T>, "readUnsigned needs an unsigned T");
+    // 2^digits is exact in a double, and every integral double below it
+    // is exactly representable in T.
+    const double limit = std::ldexp(1.0, std::numeric_limits<T>::digits);
+    const double d = v.asNumber(-1);
+    if (!v.isNumber() || !(d >= 0 && d < limit) || d != std::floor(d)) {
+        if (err) {
+            *err = what + " must be an integer in 0.." +
+                   std::to_string(std::numeric_limits<T>::max());
+        }
+        return false;
+    }
+    *out = T(d);
+    return true;
+}
+
+/**
+ * Read an address: an integer as readUnsigned() accepts it, or a
+ * string that starts with a digit and that strtoull() reads whole in
+ * base 0 (decimal, 0x hex, or 0-prefixed octal) without overflow.
+ */
+bool readAddress(const Json &v, const std::string &what,
+                 std::uint64_t *out, std::string *err);
 
 } // namespace harness
 } // namespace csync

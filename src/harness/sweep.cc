@@ -47,7 +47,8 @@ stringAxis(const Json &doc, const char *key,
     return true;
 }
 
-/** Read a JSON array of non-negative integers into @p out. */
+/** Read a JSON array of unsigned integers, or for T = double of
+ *  non-negative reals (fault rates), into @p out. */
 template <typename T>
 bool
 numberAxis(const Json &doc, const char *key, std::vector<T> *out,
@@ -61,12 +62,19 @@ numberAxis(const Json &doc, const char *key, std::vector<T> *out,
                                         "numbers", key));
     out->clear();
     for (std::size_t i = 0; i < v.size(); ++i) {
-        if (!v.at(i).isNumber() || v.at(i).asNumber() < 0) {
-            return parseError(
-                err, csprintf("\"%s\"[%zu] is not a non-negative number",
-                              key, i));
+        const Json &e = v.at(i);
+        std::string what = csprintf("\"%s\"[%zu]", key, i), why;
+        T n = 0;
+        if constexpr (std::is_floating_point_v<T>) {
+            if (!e.isNumber() || e.asNumber() < 0) {
+                return parseError(err,
+                                  what + " is not a non-negative number");
+            }
+            n = e.asNumber();
+        } else if (!readUnsigned(e, what, &n, &why)) {
+            return parseError(err, why);
         }
-        out->push_back(T(v.at(i).asNumber()));
+        out->push_back(n);
     }
     return true;
 }
@@ -76,12 +84,11 @@ bool
 scalarNumber(const Json &doc, const char *key, T *out, std::string *err)
 {
     const Json &v = doc[key];
-    if (v.isNull())
-        return true;
-    if (!v.isNumber() || v.asNumber() < 0)
-        return parseError(err, csprintf("\"%s\" must be a non-negative "
-                                        "number", key));
-    *out = T(v.asNumber());
+    std::string why;
+    if (!v.isNull() &&
+        !readUnsigned(v, csprintf("\"%s\"", key), out, &why)) {
+        return parseError(err, why);
+    }
     return true;
 }
 

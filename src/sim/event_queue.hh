@@ -225,18 +225,17 @@ class EventQueue
     std::uint64_t run(Tick until = maxTick);
 
     /**
-     * Run at most @p max_events events (for watchdog-style tests).
+     * Run at most @p max_events events: one batch of System's event
+     * loop, which checks its stop conditions between batches.
      * @return Number of events executed.
      */
     std::uint64_t runSteps(std::uint64_t max_events);
 
     /**
      * Run at most @p max_events events whose tick is <= @p until.  The
-     * bounded primitive of the sharded parallel engine and of the
-     * directed driver's settle: unlike run(), now() is never advanced
-     * past the last executed event, so a shard's clock always names
-     * real work — the window bookkeeping lives in the scheduler, not in
-     * the queue.
+     * bounded primitive of the directed driver's settle: unlike run(),
+     * now() is never advanced past the last executed event, so the
+     * clock always names real work.
      *
      * @return Number of events executed; a return < @p max_events
      *         means the queue holds nothing at or before @p until.

@@ -25,6 +25,15 @@ Checker::shardByDomain(const AddressMap *map)
     sim_assert(domains_.empty(), "checker is already sharded");
     domainMap_ = map;
     domains_.resize(map->numSwitches());
+    // A run resumed after a pause re-shards: the expectations folded at
+    // the pause move back into their home domains, or every read of an
+    // earlier write would look stale.
+    for (const auto &[addr, val] : last_)
+        domains_[map->switchFor(addr)].last[addr] = val;
+    for (const auto &[addr, node] : lockHolders_)
+        domains_[map->switchFor(addr)].lockHolders[addr] = node;
+    last_.clear();
+    lockHolders_.clear();
 }
 
 void

@@ -52,8 +52,9 @@ class Checker
      * foldShards(), every notification is routed by @p map to a
      * per-domain sub-state touched only by that domain's worker thread
      * (the partition guarantees an address is only ever seen by its
-     * home domain, so sub-states never interact).  The stats scalars
-     * and the global forensic fields stay untouched until the fold.
+     * home domain, so sub-states never interact).  Expectations
+     * recorded so far move into their domains; the stats scalars and
+     * the global forensic fields stay untouched until the fold.
      */
     void shardByDomain(const AddressMap *map);
 
@@ -65,9 +66,6 @@ class Checker
      * stats dump are identical across thread counts.
      */
     void foldShards();
-
-    /** True while notifications are routed per domain. */
-    bool sharded() const { return !domains_.empty(); }
 
     /** A write to @p word_addr serialized with value @p value. */
     void onWrite(NodeId node, Addr word_addr, Word value, Tick when);

@@ -14,6 +14,12 @@
  * is exactly the serial run's projection onto that domain — which is
  * why parallel stats are byte-identical to serial ones.
  *
+ * So the shards are disjoint: no event ever crosses a shard boundary
+ * and there is no channel between shards.  System::run() therefore runs
+ * each domain's event loop to its own end on a worker thread and meets
+ * the others only at the join.  A feature that couples domains must
+ * first change this proof, and add the channel it needs along with it.
+ *
  * Anything the analysis cannot prove falls back to the serial engine;
  * whySerial records the first reason, for diagnostics and tests.
  */

@@ -1,7 +1,6 @@
 #include "system/replay.hh"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "sim/logging.hh"
 
@@ -370,30 +369,6 @@ traceToJson(const DirectedTrace &t)
     return j;
 }
 
-namespace
-{
-
-bool
-parseAddr(const harness::Json &j, Addr *out)
-{
-    if (j.isNumber()) {
-        *out = Addr(j.asNumber());
-        return true;
-    }
-    if (j.isString()) {
-        const std::string &s = j.asString();
-        char *end = nullptr;
-        unsigned long long v = std::strtoull(s.c_str(), &end, 0);
-        if (end && *end == '\0' && !s.empty()) {
-            *out = Addr(v);
-            return true;
-        }
-    }
-    return false;
-}
-
-} // anonymous namespace
-
 bool
 traceFromJson(const harness::Json &j, DirectedTrace *out, std::string *err)
 {
@@ -404,21 +379,31 @@ traceFromJson(const harness::Json &j, DirectedTrace *out, std::string *err)
     };
     if (!j.isObject())
         return fail("trace: not a JSON object");
+    // Absent fields keep DirectedTrace's defaults; present ones must
+    // be in range.
+    std::string why;
+    auto field = [&why](const harness::Json &obj, const char *key,
+                        auto *dst) {
+        return obj[key].isNull() ||
+               harness::readUnsigned(obj[key], csprintf("\"%s\"", key),
+                                     dst, &why);
+    };
     DirectedTrace t;
     if (!j["protocol"].isString())
         return fail("trace: missing protocol");
     t.protocol = j["protocol"].asString();
-    t.processors = unsigned(j["processors"].asNumber(2));
-    t.blockWords = unsigned(j["block_words"].asNumber(4));
-    t.frames = unsigned(j["frames"].asNumber(4));
-    t.ways = unsigned(j["ways"].asNumber(1));
+    if (!field(j, "processors", &t.processors) ||
+        !field(j, "block_words", &t.blockWords) ||
+        !field(j, "frames", &t.frames) || !field(j, "ways", &t.ways) ||
+        !field(j, "adaptive_bits", &t.adaptiveBits) ||
+        !field(j, "adaptive_invalidate_threshold",
+               &t.adaptiveInvalidateThreshold) ||
+        !field(j, "adaptive_update_threshold",
+               &t.adaptiveUpdateThreshold)) {
+        return fail("trace: " + why);
+    }
     t.useBusyWaitRegister = j["busy_wait_register"].asBool(true);
     t.busyWaitPriority = j["busy_wait_priority"].asBool(true);
-    t.adaptiveBits = unsigned(j["adaptive_bits"].asNumber(2));
-    t.adaptiveInvalidateThreshold =
-        unsigned(j["adaptive_invalidate_threshold"].asNumber(2));
-    t.adaptiveUpdateThreshold =
-        unsigned(j["adaptive_update_threshold"].asNumber(2));
     if (j["topology"].isString())
         t.topology = j["topology"].asString();
     const harness::Json &ops = j["ops"];
@@ -427,14 +412,16 @@ traceFromJson(const harness::Json &j, DirectedTrace *out, std::string *err)
     for (std::size_t i = 0; i < ops.size(); ++i) {
         const harness::Json &o = ops.at(i);
         DirectedOp op;
-        op.cache = unsigned(o["cache"].asNumber(0));
+        if (!field(o, "cache", &op.cache))
+            return fail(csprintf("trace: op %zu: %s", i, why.c_str()));
         if (!o["op"].isString() ||
             !directedKindFromName(o["op"].asString(), &op.kind)) {
             return fail(csprintf("trace: op %zu: bad kind", i));
         }
-        if (!parseAddr(o["addr"], &op.addr))
-            return fail(csprintf("trace: op %zu: bad addr", i));
-        op.value = Word(o["value"].asNumber(0));
+        if (!harness::readAddress(o["addr"], "\"addr\"", &op.addr, &why) ||
+            !field(o, "value", &op.value)) {
+            return fail(csprintf("trace: op %zu: %s", i, why.c_str()));
+        }
         if (op.cache >= t.processors)
             return fail(csprintf("trace: op %zu: cache out of range", i));
         if (op.kind == DirectedKind::Evict && t.ways != 1) {

@@ -1,14 +1,73 @@
 #include "system/system.hh"
 
 #include <algorithm>
+#include <exception>
 #include <map>
 #include <sstream>
+#include <thread>
 
-#include "sim/parallel.hh"
 #include "sim/stats_json.hh"
 
 namespace csync
 {
+
+namespace
+{
+
+/** Events per batch of the event loop, between its stop checks. */
+constexpr std::uint64_t kBatchEvents = 4096;
+
+/** @p Procs: a range of owning or raw Processor pointers. */
+template <typename Procs>
+bool
+allFinished(const Procs &procs)
+{
+    for (const auto &p : procs)
+        if (!p->done())
+            return false;
+    return true;
+}
+
+template <typename Procs>
+double
+retiredBy(const Procs &procs)
+{
+    double retired = 0;
+    for (const auto &p : procs)
+        retired += p->opsCompleted.value();
+    return retired;
+}
+
+/**
+ * The one event loop: run @p eq in batches until every processor in
+ * @p procs finishes, @p eq drains, @p watchdog sees no retirement for
+ * its window, @p abort reads true, or @p max_ticks is reached.
+ * @return why @p watchdog should trip ("" when it should not).
+ */
+template <typename Procs>
+std::string
+runLoop(EventQueue &eq, const Procs &procs, ProgressWatchdog &watchdog,
+        Tick max_ticks, const std::atomic<bool> *abort)
+{
+    watchdog.restart(eq.now(), retiredBy(procs));
+    while (!allFinished(procs) && !eq.empty() && eq.now() < max_ticks) {
+        if (abort && abort->load(std::memory_order_relaxed))
+            return "";
+        eq.runSteps(kBatchEvents);
+        if (watchdog.observe(eq.now(), retiredBy(procs))) {
+            return csprintf(
+                "no processor retired an operation for %llu ticks",
+                (unsigned long long)watchdog.window());
+        }
+    }
+    // The calendar drained with workloads unfinished: a deadlock, which
+    // is just livelock with zero events.
+    if (!allFinished(procs) && eq.empty())
+        return "event queue drained with unfinished workloads";
+    return "";
+}
+
+} // namespace
 
 System::System(const SystemConfig &cfg)
     : cfg_(cfg), root_(cfg.name), checker_(&root_),
@@ -181,116 +240,91 @@ System::planShards()
         procs_[i]->setHomeDomain(home);
         shardProcs_[home].push_back(procs_[i].get());
     }
-
-    if (cfg_.enableChecker)
-        checker_.shardByDomain(&map_);
 }
 
 bool
 System::allDone() const
 {
-    for (const auto &p : procs_)
-        if (!p->done())
-            return false;
-    return true;
+    return allFinished(procs_);
 }
 
 double
 System::totalRetiredOps() const
 {
-    double retired = 0;
-    for (const auto &p : procs_)
-        retired += p->opsCompleted.value();
-    return retired;
+    return retiredBy(procs_);
 }
 
 Tick
 System::run(Tick max_ticks, const std::atomic<bool> *abort)
 {
     if (partition_.active)
-        return runParallel(max_ticks, abort);
+        return runSharded(max_ticks, abort);
 
-    watchdog_.restart(eq_.now(), totalRetiredOps());
-    while (!allDone() && !eq_.empty() && eq_.now() < max_ticks) {
-        if (abort && abort->load(std::memory_order_relaxed))
-            break;
-        eq_.runSteps(4096);
-        if (watchdog_.observe(eq_.now(), totalRetiredOps())) {
-            watchdog_.trip(progressDiagnostic(csprintf(
-                "no processor retired an operation for %llu ticks",
-                (unsigned long long)watchdog_.window())));
-            break;
-        }
-    }
-    if (!watchdog_.tripped() && !allDone() && eq_.empty()) {
-        // The calendar drained with workloads unfinished: a deadlock,
-        // which is just livelock with zero events.
-        watchdog_.trip(progressDiagnostic(
-            "event queue drained with unfinished workloads"));
-    }
+    std::string why = runLoop(eq_, procs_, watchdog_, max_ticks, abort);
+    if (!why.empty())
+        watchdog_.trip(progressDiagnostic(why));
     return eq_.now();
 }
 
 Tick
-System::runParallel(Tick max_ticks, const std::atomic<bool> *abort)
+System::runSharded(Tick max_ticks, const std::atomic<bool> *abort)
 {
-    // run() may be called again after a pause; the checker's shards
-    // were folded at the end of the previous call.
-    if (cfg_.enableChecker && !checker_.sharded())
+    // The checker is sharded for exactly the span of the fork-join.
+    if (cfg_.enableChecker)
         checker_.shardByDomain(&map_);
 
-    watchdog_.restart(eq_.now(), totalRetiredOps());
-
-    ParallelScheduler::Options opts;
-    opts.threads = cfg_.simThreads;
-    opts.window = 4096;
-    opts.maxTicks = max_ticks;
-    opts.abort = abort;
-    // The per-window hook is the forward-progress watchdog.  The
-    // retirement it observes is aggregated over ALL shards by the
-    // scheduler: a shard that finishes early must not look like a
-    // stall, and a livelock on any one shard must still trip.
-    opts.onWindow = [this](Tick now, double retired) {
-        if (watchdog_.observe(now, retired)) {
-            watchdog_.trip(progressDiagnostic(csprintf(
-                "no processor retired an operation for %llu ticks",
-                (unsigned long long)watchdog_.window())));
-            return true;
-        }
-        return false;
+    // Each domain runs the serial loop on its own queue with its own
+    // watchdog, and no domain stops another, so every domain's end
+    // state is a function of the configuration alone.
+    struct Outcome
+    {
+        std::string why;
+        std::exception_ptr error;
     };
-
-    std::vector<ParallelScheduler::Shard> shards;
-    for (unsigned k = 0; k < partition_.domains; ++k) {
-        ParallelScheduler::Shard s;
-        s.eq = &shardQueue(k);
-        const std::vector<Processor *> *mine = &shardProcs_[k];
-        s.done = [mine] {
-            for (Processor *p : *mine)
-                if (!p->done())
-                    return false;
-            return true;
-        };
-        s.retired = [mine] {
-            double r = 0;
-            for (Processor *p : *mine)
-                r += p->opsCompleted.value();
-            return r;
-        };
-        shards.push_back(std::move(s));
+    const unsigned domains = partition_.domains;
+    std::vector<Outcome> outcomes(domains);
+    auto worker = [&](unsigned first, unsigned stride) {
+        // Model code calls fatal() on invariant violations; on a worker
+        // that must unwind, not exit, so the caller can rethrow it.
+        ScopedFatalThrow rethrow;
+        for (unsigned k = first; k < domains; k += stride) {
+            try {
+                // Kept out of the stats tree: a domain's retirement is
+                // not the machine's, and watchdog_ reports the trip.
+                ProgressWatchdog watchdog("watchdog", watchdog_.window(),
+                                          nullptr);
+                outcomes[k].why = runLoop(shardQueue(k), shardProcs_[k],
+                                          watchdog, max_ticks, abort);
+            } catch (...) {
+                outcomes[k].error = std::current_exception();
+            }
+        }
+    };
+    {
+        // jthreads join on every exit from this scope, a failed spawn
+        // included.
+        const unsigned threads = std::min(cfg_.simThreads, domains);
+        std::vector<std::jthread> pool;
+        pool.reserve(threads);
+        for (unsigned w = 0; w < threads; ++w)
+            pool.emplace_back(worker, w, threads);
     }
-
-    ParallelScheduler sched(std::move(shards), opts);
-    ParallelScheduler::Result res = sched.run();
 
     if (cfg_.enableChecker)
         checker_.foldShards();
-
-    if (!watchdog_.tripped() && res.drained) {
-        watchdog_.trip(progressDiagnostic(
-            "event queue drained with unfinished workloads"));
+    for (const Outcome &o : outcomes)
+        if (o.error)
+            std::rethrow_exception(o.error);
+    for (const Outcome &o : outcomes) {
+        if (!o.why.empty()) {
+            watchdog_.trip(progressDiagnostic(o.why));
+            break;
+        }
     }
-    return res.finalTick;
+    Tick end = 0;
+    for (unsigned k = 0; k < domains; ++k)
+        end = std::max(end, shardQueue(k).now());
+    return end;
 }
 
 std::string

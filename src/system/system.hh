@@ -127,8 +127,10 @@ class System
 
     /**
      * Run until all processors finish, the event queue drains, the
-     * forward-progress watchdog trips, or @p max_ticks is reached.
-     * @return the final simulated time.
+     * forward-progress watchdog trips, or @p max_ticks is reached.  A
+     * sharded run applies these stops to each domain on its own and
+     * trips the watchdog with the lowest tripped domain's reason.
+     * @return the final simulated time (the latest domain's, sharded).
      */
     Tick run(Tick max_ticks = 50'000'000)
     {
@@ -154,9 +156,6 @@ class System
     {
         return watchdog_.diagnostic();
     }
-
-    /** The forward-progress watchdog itself (tests). */
-    ProgressWatchdog &watchdog() { return watchdog_; }
 
     /**
      * Render a no-progress diagnostic: @p why plus the last bus
@@ -200,8 +199,9 @@ class System
      *  domain's objects onto a private shard queue (start()-time). */
     void planShards();
 
-    /** The sharded engine behind run() when the partition is active. */
-    Tick runParallel(Tick max_ticks, const std::atomic<bool> *abort);
+    /** The sharded engine behind run(): the serial event loop once
+     *  per domain, fork-joined on min(simThreads, domains) threads. */
+    Tick runSharded(Tick max_ticks, const std::atomic<bool> *abort);
 
     /** Shard @p k's event queue (shard 0 is the primary eq_). */
     EventQueue &shardQueue(unsigned k)

@@ -1,6 +1,5 @@
 #include "system/topology_spec.hh"
 
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
@@ -25,29 +24,6 @@ specError(std::string *err, std::string msg)
     if (err)
         *err = "topology spec: " + std::move(msg);
     return false;
-}
-
-/** Parse an address: a JSON number or a hex/decimal string. */
-bool
-parseAddr(const Json &v, Addr *out, std::string *err)
-{
-    if (v.isNumber()) {
-        double d = v.asNumber();
-        if (d < 0)
-            return specError(err, "negative address");
-        *out = Addr(d);
-        return true;
-    }
-    if (v.isString()) {
-        const std::string &s = v.asString();
-        char *end = nullptr;
-        unsigned long long a = std::strtoull(s.c_str(), &end, 0);
-        if (s.empty() || end == nullptr || *end != '\0')
-            return specError(err, csprintf("bad address \"%s\"", s.c_str()));
-        *out = Addr(a);
-        return true;
-    }
-    return specError(err, "addresses must be numbers or hex strings");
 }
 
 /** Parse a carries mask: "all", "sync", "data", or a class array. */
@@ -101,9 +77,12 @@ parseRanges(const Json &v, SwitchSpec *sw, std::string *err)
         if (!r.isArray() || r.size() != 2)
             return specError(err, "each range is a [lo, hi) pair");
         AddrRange range;
-        if (!parseAddr(r.at(0), &range.lo, err) ||
-            !parseAddr(r.at(1), &range.hi, err)) {
-            return false;
+        std::string why;
+        if (!readAddress(r.at(0), csprintf("\"ranges\"[%zu][0]", i), &range.lo,
+                         &why) ||
+            !readAddress(r.at(1), csprintf("\"ranges\"[%zu][1]", i), &range.hi,
+                         &why)) {
+            return specError(err, why);
         }
         sw->ranges.push_back(range);
     }

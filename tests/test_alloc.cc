@@ -15,7 +15,6 @@
 
 #include "cache/cache_blocks.hh"
 #include "harness/workload_factory.hh"
-#include "sim/parallel.hh"
 #include "sim/random.hh"
 #include "system/system.hh"
 
@@ -221,49 +220,57 @@ TEST(Alloc, ContendedRunStaysUnderPerOpBound)
         << sys.bus().transactions.value() << " bus transactions";
 }
 
-TEST(Alloc, ParallelSchedulerBookkeepingStaysSmall)
+namespace
 {
-    // The scheduler's own cost over four trivial shards: worker threads,
-    // shard callbacks and the barrier.  Shards are disjoint, so it needs
-    // no per-pair state.  Measured with g++ 12 / libstdc++ on this exact
-    // run: 632 bytes.  The bound leaves room for the thread library and
-    // a small table, but not for per-pair event buffers: a 1024-entry
-    // ring of events for each of the 16 shard pairs is 2362104 bytes.
-    constexpr std::uint64_t kMaxBytes = 64 * 1024;
 
-    struct Tiny
-    {
-        EventQueue eq;
-        int left = 3;
+/** Bytes allocated by run() on a two_switch domain_local machine. */
+std::uint64_t
+domainLocalRunBytes(unsigned sim_threads, bool *sharded)
+{
+    SystemConfig cfg;
+    cfg.protocol = "bitar";
+    cfg.numProcessors = 8;
+    cfg.topology = TopologyConfig::twoSwitch();
+    cfg.simThreads = sim_threads;
+    System sys(cfg);
+    for (unsigned p = 0; p < cfg.numProcessors; ++p) {
+        harness::WorkloadSlot slot;
+        slot.procId = p;
+        slot.numProcs = cfg.numProcessors;
+        slot.ops = 500;
+        slot.seed = 3;
+        slot.blockBytes = cfg.cache.geom.blockBytes();
+        slot.protocol = cfg.protocol;
+        std::string err;
+        auto w = harness::makeWorkload("domain_local", slot, &err);
+        EXPECT_TRUE(w) << err;
+        sys.addProcessor(std::move(w));
+    }
+    sys.start();
+    *sharded = sys.parallelActive();
+    std::uint64_t bytes = countNewBytes([&] { sys.run(); });
+    EXPECT_TRUE(sys.allDone());
+    return bytes;
+}
 
-        void
-        arm()
-        {
-            eq.schedule(eq.now() + 1, [this] {
-                if (--left > 0)
-                    arm();
-            });
-        }
-    };
-    std::vector<Tiny> tiny(4);
-    for (Tiny &t : tiny)
-        t.arm();
+} // namespace
 
-    ParallelScheduler::Result res;
-    std::uint64_t bytes = countNewBytes([&] {
-        std::vector<ParallelScheduler::Shard> shards;
-        for (Tiny &t : tiny) {
-            ParallelScheduler::Shard sh;
-            sh.eq = &t.eq;
-            sh.done = [&t] { return t.left == 0; };
-            shards.push_back(std::move(sh));
-        }
-        ParallelScheduler::Options o;
-        o.threads = 4;
-        ParallelScheduler sched(std::move(shards), o);
-        res = sched.run();
-    });
-    EXPECT_TRUE(res.completed);
-    RecordProperty("scheduler_bytes", std::to_string(bytes));
-    EXPECT_LT(bytes, kMaxBytes) << bytes << " bytes allocated";
+TEST(Alloc, ShardedEngineBookkeepingStaysSmall)
+{
+    // What a sharded run allocates beyond the serial run of the same
+    // machine: worker threads, per-domain outcomes and the checker's
+    // domain slices.  Shards are disjoint, so it needs no per-pair
+    // state.  The bound leaves room for the thread library and small
+    // tables, but not for per-pair event buffers: a 1024-entry ring of
+    // events for each of the 4 domain pairs would be about 590 KB.
+    constexpr std::int64_t kMaxBytes = 64 * 1024;
+    bool serial_sharded = true, sharded = false;
+    std::uint64_t serial = domainLocalRunBytes(1, &serial_sharded);
+    std::uint64_t parallel = domainLocalRunBytes(4, &sharded);
+    ASSERT_FALSE(serial_sharded);
+    ASSERT_TRUE(sharded);
+    std::int64_t extra = std::int64_t(parallel) - std::int64_t(serial);
+    RecordProperty("sharded_extra_bytes", std::to_string(extra));
+    EXPECT_LT(extra, kMaxBytes)
+        << parallel << " bytes sharded vs " << serial << " serial";
 }

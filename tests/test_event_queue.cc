@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <vector>
 
 #include "sim/event_queue.hh"
 
@@ -172,6 +173,45 @@ TEST(EventQueue, ScheduleDuringExecuteReusesNodesSafely)
     eq.run();
     EXPECT_EQ(chain, 1000);
     EXPECT_EQ(fanout, 300);
+}
+
+// --------------------------------------------------------------------
+// runBounded: the directed driver's bounded settle
+// --------------------------------------------------------------------
+
+TEST(RunBounded, StopsAtHorizonInclusive)
+{
+    EventQueue eq;
+    std::vector<Tick> ran;
+    for (Tick t = 1; t <= 10; ++t)
+        eq.schedule(t, [&ran, &eq] { ran.push_back(eq.now()); });
+    EXPECT_EQ(eq.runBounded(5, 1000), 5u);
+    EXPECT_EQ(ran.size(), 5u);
+    EXPECT_EQ(eq.now(), 5u); // never past the last executed event
+    EXPECT_EQ(eq.nextEventTick(), 6u);
+    EXPECT_EQ(eq.runBounded(10, 1000), 5u);
+    EXPECT_EQ(eq.now(), 10u);
+    EXPECT_TRUE(eq.empty());
+}
+
+TEST(RunBounded, StopsAtEventBudget)
+{
+    EventQueue eq;
+    int ran = 0;
+    for (Tick t = 1; t <= 10; ++t)
+        eq.schedule(t, [&ran] { ++ran; });
+    EXPECT_EQ(eq.runBounded(maxTick, 3), 3u);
+    EXPECT_EQ(ran, 3);
+    EXPECT_EQ(eq.now(), 3u);
+}
+
+TEST(RunBounded, EmptyWindowExecutesNothing)
+{
+    EventQueue eq;
+    eq.schedule(100, [] {});
+    EXPECT_EQ(eq.runBounded(50, 1000), 0u);
+    EXPECT_EQ(eq.now(), 0u); // horizon alone must not advance time
+    EXPECT_EQ(eq.nextEventTick(), 100u);
 }
 
 TEST(EventQueueDeath, SchedulingInThePastPanics)

@@ -156,6 +156,24 @@ TEST(FaultPlan, FromJsonParsesAndRejects)
     EXPECT_NE(err.find("unknown key \"rats\""), std::string::npos) << err;
 }
 
+TEST(FaultPlan, FromJsonRejectsNonIntegerSeedsAndTicks)
+{
+    for (const char *text :
+         {R"({"seed": 1.5})", R"({"seed": -1})",
+          R"({"seed": 18446744073709551616})", R"({"stall_ticks": 0.5})",
+          R"({"watchdog_window": -100})", R"({"backoff_cap": "8"})"}) {
+        std::string err;
+        Json doc = Json::parse(text, &err);
+        ASSERT_TRUE(err.empty()) << err;
+        FaultPlan p;
+        EXPECT_FALSE(FaultPlan::fromJson(doc, &p, &err)) << text;
+        EXPECT_NE(err.find("must be an integer in 0.."), std::string::npos)
+            << text << ": " << err;
+        std::string key = doc.members().front().first;
+        EXPECT_NE(err.find("\"" + key + "\""), std::string::npos) << err;
+    }
+}
+
 TEST(FaultPlan, JsonRoundTrips)
 {
     FaultPlan p = plan(0.125, {"delay_supply"}, 77);

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "harness/campaign_io.hh"
 #include "harness/json.hh"
 #include "system/replay.hh"
@@ -111,4 +113,53 @@ TEST(McReplayParse, EvictOnSetAssociativeShapeIsRejected)
 
     doc.set("ways", 1u);
     EXPECT_TRUE(traceFromJson(doc, &trace, &err)) << err;
+}
+
+TEST(McReplayParse, NumericFieldsMustBeUnsignedIntegers)
+{
+    // "addr": -5 used to replay (casting a negative double to an
+    // unsigned type is undefined behaviour); fractions were truncated.
+    const std::pair<const char *, const char *> cases[] = {
+        {R"({"protocol": "bitar", "ops": [
+              {"cache": 0, "op": "read", "addr": -5}]})",
+         "\"addr\""},
+        {R"({"protocol": "bitar", "ops": [
+              {"cache": 0, "op": "read", "addr": "-5"}]})",
+         "\"addr\""},
+        {R"({"protocol": "bitar", "ops": [
+              {"cache": 0.5, "op": "read", "addr": "0x1000"}]})",
+         "\"cache\""},
+        {R"({"protocol": "bitar", "ops": [
+              {"cache": 0, "op": "write", "addr": 4096, "value": 1.5}]})",
+         "\"value\""},
+        {R"({"protocol": "bitar", "processors": 4294967298, "ops": []})",
+         "\"processors\""},
+        {R"({"protocol": "bitar", "frames": -4, "ops": []})",
+         "\"frames\""},
+    };
+    for (const auto &[text, key] : cases) {
+        std::string err;
+        harness::Json doc = harness::Json::parse(text, &err);
+        ASSERT_TRUE(err.empty()) << err;
+        DirectedTrace trace;
+        EXPECT_FALSE(traceFromJson(doc, &trace, &err)) << text;
+        EXPECT_NE(err.find(key), std::string::npos) << text << ": " << err;
+    }
+
+    // Numeric addresses, and absent fields at their defaults, still
+    // parse.
+    std::string err;
+    harness::Json doc = harness::Json::parse(
+        R"({"protocol": "bitar", "ops": [
+              {"cache": 1, "op": "write", "addr": 4096, "value": 7}]})",
+        &err);
+    ASSERT_TRUE(err.empty()) << err;
+    DirectedTrace trace;
+    ASSERT_TRUE(traceFromJson(doc, &trace, &err)) << err;
+    EXPECT_EQ(trace.processors, 2u);
+    EXPECT_EQ(trace.ways, 1u);
+    ASSERT_EQ(trace.ops.size(), 1u);
+    EXPECT_EQ(trace.ops[0].cache, 1u);
+    EXPECT_EQ(trace.ops[0].addr, 4096u);
+    EXPECT_EQ(trace.ops[0].value, 7u);
 }

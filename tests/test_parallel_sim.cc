@@ -1,12 +1,11 @@
 /**
  * @file
- * The sharded parallel engine, bottom up: runBounded() (the window
- * primitive), the ParallelScheduler's barrier/abort/watchdog-hook
- * machinery on synthetic shards (the TSan target: workers and the
- * coordinator meet only at the window barrier), the static
- * domain-partition analysis with every serial-fallback reason, and
- * whole-System parallel runs whose statistics must equal the serial
- * engine's exactly.
+ * The sharded engine: the static domain-partition analysis with every
+ * serial-fallback reason, and whole-System sharded runs, which run each
+ * domain's event loop on its own worker thread (the TSan target: the
+ * domains share nothing and meet only at the join).  Their statistics
+ * must equal the serial engine's exactly, and each domain's stops (the
+ * abort flag, max_ticks, its watchdog, a fatal error) are its own.
  */
 
 #include <gtest/gtest.h>
@@ -16,246 +15,11 @@
 #include <vector>
 
 #include "harness/workload_factory.hh"
-#include "sim/parallel.hh"
 #include "system/domain.hh"
 #include "system/system.hh"
 
 using namespace csync;
 using namespace csync::harness;
-
-// --------------------------------------------------------------------
-// EventQueue::runBounded — the window primitive
-// --------------------------------------------------------------------
-
-TEST(RunBounded, StopsAtHorizonInclusive)
-{
-    EventQueue eq;
-    std::vector<Tick> ran;
-    for (Tick t = 1; t <= 10; ++t)
-        eq.schedule(t, [&ran, &eq] { ran.push_back(eq.now()); });
-    EXPECT_EQ(eq.runBounded(5, 1000), 5u);
-    EXPECT_EQ(ran.size(), 5u);
-    EXPECT_EQ(eq.now(), 5u); // never past the last executed event
-    EXPECT_EQ(eq.nextEventTick(), 6u);
-    EXPECT_EQ(eq.runBounded(10, 1000), 5u);
-    EXPECT_EQ(eq.now(), 10u);
-    EXPECT_TRUE(eq.empty());
-}
-
-TEST(RunBounded, StopsAtEventBudget)
-{
-    EventQueue eq;
-    int ran = 0;
-    for (Tick t = 1; t <= 10; ++t)
-        eq.schedule(t, [&ran] { ++ran; });
-    EXPECT_EQ(eq.runBounded(maxTick, 3), 3u);
-    EXPECT_EQ(ran, 3);
-    EXPECT_EQ(eq.now(), 3u);
-}
-
-TEST(RunBounded, EmptyWindowExecutesNothing)
-{
-    EventQueue eq;
-    eq.schedule(100, [] {});
-    EXPECT_EQ(eq.runBounded(50, 1000), 0u);
-    EXPECT_EQ(eq.now(), 0u); // horizon alone must not advance time
-    EXPECT_EQ(eq.nextEventTick(), 100u);
-}
-
-// --------------------------------------------------------------------
-// ParallelScheduler on synthetic shards
-// --------------------------------------------------------------------
-
-namespace
-{
-
-/** A self-rescheduling synthetic workload: one event per tick until
- *  @p target events have run on shard @p eq. */
-struct SpinShard
-{
-    EventQueue eq;
-    long count = 0;
-    long target = 0;
-
-    void
-    arm()
-    {
-        eq.schedule(eq.now() + 1, [this] { step(); });
-    }
-
-    void
-    step()
-    {
-        if (++count < target)
-            arm();
-    }
-};
-
-ParallelScheduler::Shard
-shardFor(SpinShard *s)
-{
-    ParallelScheduler::Shard sh;
-    sh.eq = &s->eq;
-    sh.done = [s] { return s->count >= s->target; };
-    sh.retired = [s] { return double(s->count); };
-    return sh;
-}
-
-} // namespace
-
-TEST(ParallelScheduler, RunsAllShardsToCompletion)
-{
-    for (unsigned threads : {1u, 2u, 4u}) {
-        SpinShard a, b;
-        a.target = 5000;
-        b.target = 3000;
-        a.arm();
-        b.arm();
-        ParallelScheduler::Options o;
-        o.threads = threads;
-        o.window = 256;
-        ParallelScheduler sched({shardFor(&a), shardFor(&b)}, o);
-        ParallelScheduler::Result r = sched.run();
-        EXPECT_TRUE(r.completed) << threads;
-        EXPECT_FALSE(r.drained);
-        EXPECT_EQ(a.count, 5000) << threads;
-        EXPECT_EQ(b.count, 3000) << threads;
-        EXPECT_EQ(r.retired, 8000.0) << threads;
-        // Shard a's last event ran at tick 5000.
-        EXPECT_EQ(r.finalTick, 5000u) << threads;
-    }
-}
-
-TEST(ParallelScheduler, AbortFlagStopsTheRun)
-{
-    SpinShard a, b;
-    a.target = 1000000;
-    b.target = 1000000;
-    a.arm();
-    b.arm();
-    std::atomic<bool> abort{false};
-    ParallelScheduler::Options o;
-    o.threads = 2;
-    o.window = 64;
-    o.abort = &abort;
-    int windows = 0;
-    o.onWindow = [&abort, &windows](Tick, double) {
-        if (++windows == 3)
-            abort.store(true);
-        return false;
-    };
-    ParallelScheduler sched({shardFor(&a), shardFor(&b)}, o);
-    ParallelScheduler::Result r = sched.run();
-    EXPECT_TRUE(r.aborted);
-    EXPECT_FALSE(r.completed);
-    EXPECT_LT(a.count, 1000000);
-}
-
-TEST(ParallelScheduler, HookSeesAggregateRetirementAcrossShards)
-{
-    // The PR 7 regression shape: shard a finishes almost immediately,
-    // shard b keeps retiring for a long time.  The barrier hook (the
-    // watchdog seam) must see the TOTAL keep growing — a watchdog that
-    // watched only shard a would observe frozen progress and trip.
-    SpinShard a, b;
-    a.target = 10;
-    b.target = 50000;
-    a.arm();
-    b.arm();
-    ParallelScheduler::Options o;
-    o.threads = 2;
-    o.window = 512;
-    double lastRetired = -1;
-    bool sawStall = false;
-    bool sawGrowthAfterShardADone = false;
-    o.onWindow = [&](Tick, double retired) {
-        if (retired <= lastRetired)
-            sawStall = true;
-        if (a.count >= a.target && retired > lastRetired &&
-            lastRetired >= 0)
-            sawGrowthAfterShardADone = true;
-        lastRetired = retired;
-        return false;
-    };
-    ParallelScheduler sched({shardFor(&a), shardFor(&b)}, o);
-    ParallelScheduler::Result r = sched.run();
-    EXPECT_TRUE(r.completed);
-    EXPECT_FALSE(sawStall);
-    EXPECT_TRUE(sawGrowthAfterShardADone);
-    EXPECT_EQ(r.retired, 50010.0);
-}
-
-TEST(ParallelScheduler, HookCanStopTheRun)
-{
-    SpinShard a, b;
-    a.target = 1000000;
-    b.target = 1000000;
-    a.arm();
-    b.arm();
-    ParallelScheduler::Options o;
-    o.threads = 2;
-    o.window = 64;
-    int windows = 0;
-    o.onWindow = [&windows](Tick, double) { return ++windows >= 4; };
-    ParallelScheduler sched({shardFor(&a), shardFor(&b)}, o);
-    ParallelScheduler::Result r = sched.run();
-    EXPECT_TRUE(r.stoppedByHook);
-    EXPECT_FALSE(r.completed);
-}
-
-TEST(ParallelScheduler, DrainedQueuesWithUnfinishedShardsIsDeadlock)
-{
-    // Shard b's queue is empty but its done() never becomes true: the
-    // sharded engine's deadlock signal.
-    SpinShard a, b;
-    a.target = 100;
-    b.target = 100; // never armed — no events, never done
-    a.arm();
-    ParallelScheduler::Options o;
-    o.threads = 2;
-    o.window = 64;
-    ParallelScheduler sched({shardFor(&a), shardFor(&b)}, o);
-    ParallelScheduler::Result r = sched.run();
-    EXPECT_TRUE(r.drained);
-    EXPECT_FALSE(r.completed);
-    EXPECT_EQ(a.count, 100);
-    EXPECT_EQ(b.count, 0);
-}
-
-TEST(ParallelScheduler, MaxTicksBoundsTheHorizon)
-{
-    SpinShard a, b;
-    a.target = 1000000;
-    b.target = 1000000;
-    a.arm();
-    b.arm();
-    ParallelScheduler::Options o;
-    o.threads = 2;
-    o.window = 128;
-    o.maxTicks = 1000;
-    ParallelScheduler sched({shardFor(&a), shardFor(&b)}, o);
-    ParallelScheduler::Result r = sched.run();
-    EXPECT_TRUE(r.hitMaxTicks);
-    EXPECT_FALSE(r.completed);
-    EXPECT_LT(r.finalTick, 1000u);
-    EXPECT_GE(a.count, 900); // ran right up to the horizon
-    EXPECT_LT(a.count, 1000);
-}
-
-TEST(ParallelScheduler, ShardFatalErrorRethrowsOnTheCaller)
-{
-    SpinShard a;
-    a.target = 1000;
-    a.arm();
-    SpinShard bomb;
-    bomb.target = 1000000;
-    bomb.eq.schedule(10, [] { fatal("shard exploded"); });
-    ParallelScheduler::Options o;
-    o.threads = 2;
-    o.window = 64;
-    ParallelScheduler sched({shardFor(&a), shardFor(&bomb)}, o);
-    EXPECT_THROW(sched.run(), FatalError);
-}
 
 // --------------------------------------------------------------------
 // Domain partition analysis + System-level fallback reasons
@@ -563,6 +327,19 @@ struct Dump
 };
 
 Dump
+dumpOf(System &sys, Tick ticks)
+{
+    Dump d;
+    d.ticks = ticks;
+    std::ostringstream text, json;
+    sys.dumpStats(text);
+    sys.dumpStatsJson(json);
+    d.text = text.str();
+    d.json = json.str();
+    return d;
+}
+
+Dump
 runDomainLocal(unsigned procs, unsigned threads, std::uint64_t ops,
                std::uint64_t seed, bool *wasParallel = nullptr)
 {
@@ -572,15 +349,85 @@ runDomainLocal(unsigned procs, unsigned threads, std::uint64_t ops,
     sys.start();
     if (wasParallel)
         *wasParallel = sys.parallelActive();
-    Dump d;
-    d.ticks = sys.run();
+    Tick ticks = sys.run();
     EXPECT_TRUE(sys.allDone());
-    std::ostringstream text, json;
-    sys.dumpStats(text);
-    sys.dumpStatsJson(json);
-    d.text = text.str();
-    d.json = json.str();
-    return d;
+    return dumpOf(sys, ticks);
+}
+
+/** A workload that stalls and wakes itself forever: its domain keeps
+ *  executing events but never retires an operation (a livelock). */
+class SpinningWorkload : public Workload
+{
+  public:
+    SpinningWorkload(EventQueue *eq, Addr home) : eq_(eq), home_(home) {}
+
+    NextStatus
+    next(MemOp &, Tick &) override
+    {
+        eq_->scheduleIn(50, wake_);
+        return NextStatus::Stalled;
+    }
+
+    void onResult(const MemOp &, const AccessResult &) override {}
+    void setWakeHook(std::function<void()> hook) override { wake_ = hook; }
+
+    bool
+    footprint(std::vector<AddrRange> *out) const override
+    {
+        out->push_back({home_, home_ + 64});
+        return true;
+    }
+
+    std::string describe() const override { return "spinning"; }
+    bool done() const override { return false; }
+
+  private:
+    EventQueue *eq_;
+    Addr home_;
+    std::function<void()> wake_;
+};
+
+/** A footprint workload whose third next() call is a fatal error. */
+class FatalWorkload : public FootprintWorkload
+{
+  public:
+    explicit FatalWorkload(Addr home)
+        : FootprintWorkload({{home, home + 64}})
+    {
+    }
+
+    NextStatus
+    next(MemOp &op, Tick &think) override
+    {
+        if (++calls_ == 3)
+            fatal("shard exploded");
+        return FootprintWorkload::next(op, think);
+    }
+
+  private:
+    unsigned calls_ = 0;
+};
+
+/** Add domain_local workloads for slots @p ids of a @p slots-processor
+ *  machine (the recipe homes odd slots on switch 1). */
+void
+addDomainLocalSlots(System &sys, std::initializer_list<unsigned> ids,
+                    unsigned slots, std::uint64_t ops)
+{
+    WorkloadSlot slot;
+    slot.numProcs = slots;
+    slot.ops = ops;
+    slot.seed = 5;
+    slot.blockBytes =
+        Addr(sys.config().cache.geom.blockWords) * bytesPerWord;
+    slot.protocol = sys.config().protocol;
+    for (unsigned id : ids) {
+        slot.procId = id;
+        std::string err;
+        auto w = makeWorkload("domain_local", slot, &err);
+        ASSERT_NE(w, nullptr) << err;
+        sys.addProcessor(std::move(w));
+    }
 }
 
 } // namespace
@@ -601,8 +448,7 @@ TEST(ParallelSystem, EarlyFinishingShardDoesNotFalseTripWatchdog)
 {
     // Shard 0's processors retire a handful of ops and stop; shard 1
     // keeps running far longer with a watchdog window much smaller than
-    // the imbalance.  A watchdog that only observed shard 0 would see
-    // frozen progress and trip — the aggregate must not.
+    // the imbalance.  A finished domain is done, not stalled.
     SystemConfig cfg = twoSwitchConfig(4, 2);
     cfg.fault.watchdogWindow = 2000;
     System sys(cfg);
@@ -612,26 +458,46 @@ TEST(ParallelSystem, EarlyFinishingShardDoesNotFalseTripWatchdog)
     sys.addProcessor(std::make_unique<FootprintWorkload>(
         std::vector<AddrRange>{{kSwitch0Addr + 0x20000,
                                 kSwitch0Addr + 0x20040}}));
-    // Long side: two odd-numbered domain_local workloads (the recipe
-    // homes odd procIds on switch 1) retiring for thousands of ticks.
-    WorkloadSlot slot;
-    slot.numProcs = 4;
-    slot.ops = 4000;
-    slot.seed = 5;
-    slot.blockBytes = Addr(cfg.cache.geom.blockWords) * bytesPerWord;
-    slot.protocol = cfg.protocol;
-    for (unsigned id : {1u, 3u}) {
-        slot.procId = id;
-        std::string err;
-        auto w = makeWorkload("domain_local", slot, &err);
-        ASSERT_NE(w, nullptr) << err;
-        sys.addProcessor(std::move(w));
-    }
+    // Long side: two domain_local workloads on switch 1 retiring for
+    // thousands of ticks.
+    addDomainLocalSlots(sys, {1, 3}, 4, 4000);
     sys.start();
     ASSERT_TRUE(sys.parallelActive()) << sys.serialReason();
     sys.run();
     EXPECT_TRUE(sys.allDone());
     EXPECT_FALSE(sys.watchdogTripped()) << sys.watchdogDiagnostic();
+}
+
+TEST(ParallelSystem, StalledShardTripsWithItsReasonWhileOthersFinish)
+{
+    // Shard 0 livelocks (events, no retirement) while shard 1 retires
+    // for far longer than the watchdog window.  Shard 0's own watchdog
+    // trips with its reason; shard 1 is not stopped by it and finishes.
+    SystemConfig cfg = twoSwitchConfig(4, 2);
+    cfg.fault.watchdogWindow = 2000;
+    System sys(cfg);
+    sys.addProcessor(
+        std::make_unique<SpinningWorkload>(&sys.eventq(), kSwitch0Addr));
+    sys.addProcessor(std::make_unique<FootprintWorkload>(
+        std::vector<AddrRange>{{kSwitch0Addr + 0x20000,
+                                kSwitch0Addr + 0x20040}}));
+    addDomainLocalSlots(sys, {1, 3}, 4, 4000);
+    sys.start();
+    ASSERT_TRUE(sys.parallelActive()) << sys.serialReason();
+    ASSERT_EQ(sys.partition().procHome[0], 0u);
+    Tick ticks = sys.run();
+    EXPECT_TRUE(sys.watchdogTripped());
+    const std::string &diag = sys.watchdogDiagnostic();
+    EXPECT_NE(diag.find("no processor retired an operation for 2000 ticks"),
+              std::string::npos)
+        << diag;
+    EXPECT_FALSE(sys.processor(0).done());
+    EXPECT_TRUE(sys.processor(1).done());
+    for (unsigned i : {2u, 3u}) {
+        EXPECT_EQ(sys.partition().procHome[i], 1u);
+        EXPECT_TRUE(sys.processor(i).done()) << i;
+    }
+    EXPECT_GT(ticks, 4 * cfg.fault.watchdogWindow);
 }
 
 TEST(ParallelSystem, StuckShardTripsTheWatchdogNotAHang)
@@ -661,4 +527,67 @@ TEST(ParallelSystem, RepeatedParallelRunsAreByteIdentical)
     EXPECT_EQ(a.text, b.text);
     EXPECT_EQ(a.json, b.json);
     EXPECT_EQ(a.ticks, b.ticks);
+}
+
+TEST(ParallelSystem, AbortFlagStopsAShardedRun)
+{
+    SystemConfig cfg = twoSwitchConfig(8, 4);
+    System sys(cfg);
+    addFactoryWorkloads(sys, cfg, "domain_local", 300, 9);
+    sys.start();
+    ASSERT_TRUE(sys.parallelActive()) << sys.serialReason();
+    std::atomic<bool> abort{true};
+    EXPECT_EQ(sys.run(50'000'000, &abort), 0u);
+    EXPECT_FALSE(sys.allDone());
+    EXPECT_FALSE(sys.watchdogTripped()) << sys.watchdogDiagnostic();
+
+    // Lifting the flag resumes the run where it stopped.
+    abort.store(false);
+    Dump resumed = dumpOf(sys, sys.run(50'000'000, &abort));
+    EXPECT_TRUE(sys.allDone());
+    Dump whole = runDomainLocal(8, 4, 300, 9);
+    EXPECT_EQ(whole.ticks, resumed.ticks);
+    EXPECT_EQ(whole.text, resumed.text);
+    EXPECT_EQ(whole.json, resumed.json);
+}
+
+TEST(ParallelSystem, MaxTicksBoundsAShardedRun)
+{
+    Dump whole = runDomainLocal(8, 4, 3000, 9);
+    constexpr Tick kPause = 5000;
+    ASSERT_GT(whole.ticks, 4 * kPause);
+
+    SystemConfig cfg = twoSwitchConfig(8, 4);
+    System sys(cfg);
+    addFactoryWorkloads(sys, cfg, "domain_local", 3000, 9);
+    sys.start();
+    ASSERT_TRUE(sys.parallelActive()) << sys.serialReason();
+    // Each domain stops at its first batch edge at or past the bound.
+    Tick paused = sys.run(kPause);
+    EXPECT_GE(paused, kPause);
+    EXPECT_LT(paused, whole.ticks);
+    EXPECT_FALSE(sys.allDone());
+    EXPECT_FALSE(sys.watchdogTripped()) << sys.watchdogDiagnostic();
+
+    // Resuming ends exactly where an uninterrupted sharded run does.
+    Dump resumed = dumpOf(sys, sys.run());
+    EXPECT_TRUE(sys.allDone());
+    EXPECT_EQ(whole.ticks, resumed.ticks);
+    EXPECT_EQ(whole.text, resumed.text);
+    EXPECT_EQ(whole.json, resumed.json);
+}
+
+TEST(ParallelSystem, ShardFatalErrorRethrowsOnTheCaller)
+{
+    SystemConfig cfg = twoSwitchConfig(2, 2);
+    System sys(cfg);
+    sys.addProcessor(std::make_unique<FootprintWorkload>(
+        std::vector<AddrRange>{{kSwitch0Addr, kSwitch0Addr + 64}}));
+    sys.addProcessor(std::make_unique<FatalWorkload>(kSwitch1Addr));
+    sys.start();
+    ASSERT_TRUE(sys.parallelActive()) << sys.serialReason();
+    ASSERT_EQ(sys.partition().procHome[1], 1u);
+    EXPECT_THROW(sys.run(), FatalError);
+    // Shard 0 is not stopped by shard 1's failure.
+    EXPECT_TRUE(sys.processor(0).done());
 }

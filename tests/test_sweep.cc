@@ -235,6 +235,42 @@ TEST(SweepSpec, FromJsonErrorMessages)
               std::string::npos);
 }
 
+TEST(SweepSpec, IntegerFieldsRejectFractionsNegativesAndOverflow)
+{
+    // Each of these used to be cast to its unsigned field: 2.5 ran a
+    // 2-processor campaign, 4294967298 wrapped to 2, 1e30 made 0
+    // processors, and 50.7 ran 50 ops.
+    const char *axis = R"({"protocols": ["bitar"],
+                           "workloads": ["random_sharing"], )";
+    for (const char *bad : {"[2.5]", "[4294967298]", "[1e30]", "[-1]"}) {
+        std::string err = specError(std::string(axis) +
+                                    "\"processors\": " + bad + "}");
+        EXPECT_NE(err.find("\"processors\"[0] must be an integer in "
+                           "0..4294967295"),
+                  std::string::npos)
+            << bad << ": " << err;
+    }
+    EXPECT_NE(specError(std::string(axis) + "\"ops_per_processor\": 50.7}")
+                  .find("\"ops_per_processor\" must be an integer"),
+              std::string::npos);
+    EXPECT_NE(specError(std::string(axis) + "\"seeds\": [1, -3]}")
+                  .find("\"seeds\"[1] must be an integer"),
+              std::string::npos);
+    EXPECT_NE(specError(std::string(axis) +
+                        "\"max_ticks\": 18446744073709551616}")
+                  .find("\"max_ticks\" must be an integer"),
+              std::string::npos);
+
+    // In-range integers, and fractional fault rates, still parse.
+    SweepSpec ok = parseSpec(std::string(axis) +
+                             "\"processors\": [4294967295], "
+                             "\"seeds\": [9007199254740992], "
+                             "\"fault_rates\": [0.25]}");
+    EXPECT_EQ(ok.processorCounts, (std::vector<unsigned>{4294967295u}));
+    EXPECT_EQ(ok.seeds, (std::vector<std::uint64_t>{9007199254740992u}));
+    EXPECT_EQ(ok.faultRates, (std::vector<double>{0.25}));
+}
+
 TEST(SweepSpec, ToJsonRoundTrips)
 {
     SweepSpec spec;

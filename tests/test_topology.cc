@@ -18,6 +18,7 @@
 #include "proc/workloads/service_queue.hh"
 #include "sim/logging.hh"
 #include "system/system.hh"
+#include "system/topology_spec.hh"
 
 using namespace csync;
 using namespace csync::harness;
@@ -126,6 +127,37 @@ TEST(Topology, ValidateIsFatalOnBadTopology)
     topo.switches[0].ranges = {{0x1000, kSplit}};
     ScopedFatalThrow guard;
     EXPECT_THROW(topo.validate(), FatalError);
+}
+
+TEST(Topology, SpecAddressesMustBeUnsignedIntegers)
+{
+    auto parse = [](const std::string &lo, TopologyConfig *topo,
+                    std::string *err) {
+        std::string jerr;
+        Json doc = Json::parse(
+            R"({"name": "t", "switches": [
+                  {"name": "a", "carries": "all",
+                   "ranges": [[)" + lo + R"(, "0x1000000"]]},
+                  {"name": "b", "carries": "all",
+                   "ranges": [["0x1000000", "0x0"]]}]})",
+            &jerr);
+        EXPECT_TRUE(jerr.empty()) << jerr;
+        return topologyFromSpec(doc, topo, err);
+    };
+    for (const char *bad : {"-5", "0.5", "1e30", "\"-5\"", "\" 0\"",
+                            "\"0x10000000000000000\""}) {
+        TopologyConfig topo;
+        std::string err;
+        EXPECT_FALSE(parse(bad, &topo, &err)) << bad;
+        EXPECT_NE(err.find("\"ranges\"[0][0]"), std::string::npos)
+            << bad << ": " << err;
+    }
+    for (const char *good : {"0", "\"0\"", "\"0x0\""}) {
+        TopologyConfig topo;
+        std::string err;
+        ASSERT_TRUE(parse(good, &topo, &err)) << good << ": " << err;
+        EXPECT_EQ(topo.switches.at(0).ranges.at(0).lo, 0u);
+    }
 }
 
 TEST(Topology, AddressMapRoutesAtPartitionBoundaries)

@@ -88,7 +88,8 @@ traceTag(const std::string &path)
  * unfiltered clustered_4x2 kernels record root-bus transactions on
  * their document rows (the snoop filter's traffic reduction is a
  * committed number, not a claim), and the _mt variant shards the four
- * clusters across the parallel engine.
+ * clusters across the parallel engine: the second pair --min-speedup
+ * gates.
  */
 std::vector<KernelSpec>
 standardKernels(unsigned mtThreads)
@@ -124,9 +125,12 @@ standardKernels(unsigned mtThreads)
 /** Upper bound on --reps/--warmup: the harness keeps every timing. */
 constexpr unsigned kMaxReps = 100000;
 
-/** The serial/parallel kernel pair the --min-speedup gate compares. */
-const char *const kSpeedupSerial = "bitar_domain_local_two_switch";
-const char *const kSpeedupParallel = "bitar_domain_local_two_switch_mt";
+/** The serial/parallel kernel pairs the --min-speedup gate compares:
+ *  two domains on two_switch, and four clusters on clustered_4x2. */
+const char *const kSpeedupPairs[][2] = {
+    {"bitar_domain_local_two_switch", "bitar_domain_local_two_switch_mt"},
+    {"bitar_cluster_local_4x2", "bitar_cluster_local_4x2_mt"},
+};
 
 /** Build the single-job grid for a simulator kernel. */
 bool
@@ -182,9 +186,10 @@ usage(const char *argv0)
         "  --kernels A,B,...    run only the named kernels\n"
         "  --sim-threads N      worker threads for the *_mt parallel "
         "kernel (default 4)\n"
-        "  --min-speedup R      fail unless the parallel domain_local "
-        "kernel runs\n"
-        "                       >= R x the serial one (ops/sec ratio)\n"
+        "  --min-speedup R      fail unless each *_mt kernel of the "
+        "domain_local and\n"
+        "                       cluster_local pairs runs >= R x its "
+        "serial twin\n"
         "  -o, --out FILE       bench JSON output (default "
         "BENCH_sim_core.json)\n"
         "  -q, --quiet          no per-kernel progress on stderr\n",
@@ -274,37 +279,44 @@ doList(unsigned mtThreads)
 }
 
 /**
- * The --min-speedup gate: parallel-vs-serial ops/sec ratio on the
- * domain_local two-switch pair.  Both kernels must be in @p results
- * (run without a --kernels filter, or with both named).
+ * The --min-speedup gate: parallel-vs-serial ops/sec ratio on each
+ * kSpeedupPairs pair, every one of which must reach @p minRatio.  All
+ * four kernels must be in @p results (run without a --kernels filter,
+ * or with all of them named).
  */
 int
 checkSpeedup(const std::vector<KernelResult> &results, double minRatio,
              unsigned mtThreads)
 {
-    const KernelResult *serial = nullptr, *parallel = nullptr;
-    for (const auto &r : results) {
-        if (r.name == kSpeedupSerial)
-            serial = &r;
-        else if (r.name == kSpeedupParallel)
-            parallel = &r;
+    auto find = [&](const char *name) -> const KernelResult * {
+        for (const auto &r : results)
+            if (r.name == name)
+                return &r;
+        return nullptr;
+    };
+    int rc = 0;
+    for (const auto &[serial_name, parallel_name] : kSpeedupPairs) {
+        const KernelResult *serial = find(serial_name);
+        const KernelResult *parallel = find(parallel_name);
+        if (!serial || !parallel) {
+            std::fprintf(stderr, "csync-bench: --min-speedup needs both "
+                         "'%s' and '%s' in the run\n", serial_name,
+                         parallel_name);
+            return 2;
+        }
+        if (serial->opsPerSec <= 0) {
+            std::fprintf(stderr, "csync-bench: --min-speedup: '%s' "
+                         "reported no throughput\n", serial_name);
+            return 1;
+        }
+        double ratio = parallel->opsPerSec / serial->opsPerSec;
+        std::printf("speedup %s/%s = %.2fx at %u threads (min %.2fx) -> "
+                    "%s\n", parallel_name, serial_name, ratio, mtThreads,
+                    minRatio, ratio >= minRatio ? "OK" : "FAIL");
+        if (ratio < minRatio)
+            rc = 1;
     }
-    if (!serial || !parallel) {
-        std::fprintf(stderr, "csync-bench: --min-speedup needs both "
-                     "'%s' and '%s' in the run\n", kSpeedupSerial,
-                     kSpeedupParallel);
-        return 2;
-    }
-    if (serial->opsPerSec <= 0) {
-        std::fprintf(stderr, "csync-bench: --min-speedup: serial "
-                     "kernel reported no throughput\n");
-        return 1;
-    }
-    double ratio = parallel->opsPerSec / serial->opsPerSec;
-    std::printf("speedup %s/%s = %.2fx at %u threads (min %.2fx) -> "
-                "%s\n", kSpeedupParallel, kSpeedupSerial, ratio,
-                mtThreads, minRatio, ratio >= minRatio ? "OK" : "FAIL");
-    return ratio >= minRatio ? 0 : 1;
+    return rc;
 }
 
 } // namespace
