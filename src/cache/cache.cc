@@ -145,6 +145,64 @@ Cache::holdsPurgedLock(Addr block_addr) const
 }
 
 void
+Cache::checkpoint(Checkpoint &out) const
+{
+    sim_assert(phase_ == Phase::Idle && !curCb_,
+               "checkpoint of %s with an op in flight", name().c_str());
+    blocks_.checkpoint(out.blocks);
+    bwReg_.checkpoint(out.bwReg);
+    out.protocol.clear();
+    protocol_->checkpoint(out.protocol);
+    out.purgedLocks = purgedLocks_;
+    out.curOp = curOp_;
+    out.opIssued = opIssued_;
+    out.firstDispatch = firstDispatch_;
+    out.replays = replays_;
+    out.checkerRecorded = checkerRecorded_;
+    out.rmwOldValue = rmwOldValue_;
+    out.rmwOldValid = rmwOldValid_;
+    out.opLockFetched = opLockFetched_;
+    out.decisionState = decisionState_;
+    out.installTarget = installTarget_;
+    out.lockInstallTarget = lockInstallTarget_;
+    out.lockOpWaiting = lockOpWaiting_;
+    out.pendingLockOp = pendingLockOp_;
+    out.pendingLockCb = pendingLockCb_;
+    out.lockWaitStart = lockWaitStart_;
+    out.lockReplayPending = lockReplayPending_;
+}
+
+void
+Cache::restore(const Checkpoint &cp)
+{
+    blocks_.restore(cp.blocks);
+    bwReg_.restore(cp.bwReg);
+    WordReader words(cp.protocol);
+    protocol_->restore(words);
+    sim_assert(words.done(), "protocol checkpoint of %s not fully read",
+               name().c_str());
+    purgedLocks_ = cp.purgedLocks;
+    phase_ = Phase::Idle;
+    curCb_ = nullptr;
+    curOp_ = cp.curOp;
+    opIssued_ = cp.opIssued;
+    firstDispatch_ = cp.firstDispatch;
+    replays_ = cp.replays;
+    checkerRecorded_ = cp.checkerRecorded;
+    rmwOldValue_ = cp.rmwOldValue;
+    rmwOldValid_ = cp.rmwOldValid;
+    opLockFetched_ = cp.opLockFetched;
+    decisionState_ = cp.decisionState;
+    installTarget_ = cp.installTarget;
+    lockInstallTarget_ = cp.lockInstallTarget;
+    lockOpWaiting_ = cp.lockOpWaiting;
+    pendingLockOp_ = cp.pendingLockOp;
+    pendingLockCb_ = cp.pendingLockCb;
+    lockWaitStart_ = cp.lockWaitStart;
+    lockReplayPending_ = cp.lockReplayPending;
+}
+
+void
 Cache::access(const MemOp &op, AccessCallback cb)
 {
     sim_assert(phase_ == Phase::Idle,

@@ -150,6 +150,47 @@ class Cache : public SimObject, public BusClient
     void lockFetchDenied();
     /// @}
 
+    /**
+     * The cache's part of a quiescent checkpoint (System::checkpoint):
+     * frames and LRU, the busy-wait register, the protocol's mutable
+     * state, the purged locks, and the op and lock-wait fields,
+     * including a busy-waiting op's held completion callback and the
+     * install-target Frame pointers (valid again after an in-place
+     * restore).  Not saved: the pending bus action and message
+     * (dispatch() rewrites them before any read) and the
+     * lock-interrupt handler (configuration).  Statistics are saved
+     * with the System's stats tree.
+     */
+    struct Checkpoint
+    {
+        CacheBlocks::Checkpoint blocks;
+        BusyWaitRegister::Checkpoint bwReg;
+        CheckpointWords protocol;
+        std::unordered_set<Addr> purgedLocks;
+        MemOp curOp;
+        Tick opIssued = 0;
+        bool firstDispatch = true;
+        int replays = 0;
+        bool checkerRecorded = false;
+        Word rmwOldValue = 0;
+        bool rmwOldValid = false;
+        bool opLockFetched = false;
+        State decisionState = Inv;
+        Frame *installTarget = nullptr;
+        Frame *lockInstallTarget = nullptr;
+        bool lockOpWaiting = false;
+        MemOp pendingLockOp;
+        AccessCallback pendingLockCb;
+        Tick lockWaitStart = 0;
+        bool lockReplayPending = false;
+    };
+
+    /** Save the cache; panics if an op is mid-transaction. */
+    void checkpoint(Checkpoint &out) const;
+
+    /** Restore a checkpoint taken from this cache. */
+    void restore(const Checkpoint &cp);
+
     /** @name BusClient interface */
     /// @{
     NodeId nodeId() const override { return id_; }

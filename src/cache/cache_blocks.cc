@@ -1,5 +1,7 @@
 #include "cache/cache_blocks.hh"
 
+#include <algorithm>
+
 namespace csync
 {
 
@@ -155,6 +157,24 @@ CacheBlocks::validCount() const
         if (f.valid())
             ++n;
     return n;
+}
+
+void
+CacheBlocks::checkpoint(Checkpoint &out) const
+{
+    // Assignment reuses the checkpoint's element buffers.
+    out.frames = frames_;
+    out.index = index_;
+}
+
+void
+CacheBlocks::restore(const Checkpoint &cp)
+{
+    sim_assert(cp.frames.size() == frames_.size() &&
+                   cp.index.size() == index_.size(),
+               "cache checkpoint from another geometry");
+    std::copy(cp.frames.begin(), cp.frames.end(), frames_.begin());
+    std::copy(cp.index.begin(), cp.index.end(), index_.begin());
 }
 
 } // namespace csync

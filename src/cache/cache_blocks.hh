@@ -164,6 +164,21 @@ class CacheBlocks
     };
     static constexpr std::uint32_t kEmpty = ~std::uint32_t(0);
 
+  public:
+    /** Frames (with LRU stamps) and the address index, copied. */
+    struct Checkpoint
+    {
+        std::vector<Frame> frames;
+        std::vector<Slot> index;
+    };
+
+    void checkpoint(Checkpoint &out) const;
+
+    /** Copy a checkpoint back frame by frame: every Frame keeps its
+     *  address, so pointers into the array stay valid. */
+    void restore(const Checkpoint &cp);
+
+  private:
     CacheGeometry geom_;
     std::vector<Frame> frames_;
     /** Open-addressing address index (see find()); a power of two. */

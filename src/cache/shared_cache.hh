@@ -125,6 +125,13 @@ class SharedCache
         return spec_.inclusive && tags_.at(switch_idx).count(block) != 0;
     }
 
+    /** The L2's part of a quiescent checkpoint: its inclusive tags, per
+     *  home switch. */
+    using Checkpoint = std::vector<std::unordered_set<Addr>>;
+
+    void checkpoint(Checkpoint &out) const { out = tags_; }
+    void restore(const Checkpoint &cp) { tags_ = cp; }
+
     stats::Group statsGroup;
     stats::Scalar tagInserts;
     stats::Scalar tagDrops;

@@ -219,14 +219,31 @@ AdaptiveProtocol::snapshotState() const
     return out;
 }
 
-std::unique_ptr<Protocol>
-AdaptiveProtocol::clone() const
+void
+AdaptiveProtocol::checkpoint(CheckpointWords &out) const
 {
-    auto copy = std::make_unique<AdaptiveProtocol>(inner_->clone(), name_,
-                                                   initial_);
-    copy->tuning_ = tuning_;
-    copy->policy_ = policy_;
-    return copy;
+    inner_->checkpoint(out);
+    out.push_back(policy_.size());
+    for (const auto &[addr, p] : policy_) {
+        out.push_back(addr);
+        out.push_back(std::uint64_t(p.mode));
+        out.push_back(p.wasted);
+        out.push_back(p.rereads);
+    }
+}
+
+void
+AdaptiveProtocol::restore(WordReader &in)
+{
+    inner_->restore(in);
+    policy_.clear();
+    for (std::uint64_t n = in.next(); n > 0; --n) {
+        Addr addr = in.next();
+        BlockPolicy &p = policy_[addr];
+        p.mode = AdaptiveMode(in.next());
+        p.wasted = unsigned(in.next());
+        p.rereads = unsigned(in.next());
+    }
 }
 
 namespace

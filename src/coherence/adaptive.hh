@@ -99,7 +99,8 @@ class AdaptiveProtocol : public Protocol
     bool evictNeedsWriteback(Cache &c, const Frame &f) const override;
     void onEvict(Cache &c, Frame &f) override;
     std::string snapshotState() const override;
-    std::unique_ptr<Protocol> clone() const override;
+    void checkpoint(CheckpointWords &out) const override;
+    void restore(WordReader &in) override;
 
     /** Replace the tuning (System applies SystemConfig::adaptive). */
     void setTuning(const AdaptiveTuning &t) { tuning_ = t; }

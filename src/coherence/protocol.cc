@@ -57,12 +57,6 @@ Protocol::onEvict(Cache &, Frame &)
 {
 }
 
-std::unique_ptr<Protocol>
-Protocol::clone() const
-{
-    return ProtocolRegistry::make(name());
-}
-
 std::map<std::string, ProtocolRegistry::Maker> &
 ProtocolRegistry::makers()
 {

@@ -23,6 +23,7 @@
 #include "cache/directory.hh"
 #include "mem/bus_msg.hh"
 #include "proc/mem_op.hh"
+#include "sim/checkpoint.hh"
 
 namespace csync
 {
@@ -203,11 +204,12 @@ class Protocol
     virtual std::string snapshotState() const { return {}; }
 
     /**
-     * Deep-copy this protocol.  The default re-instantiates by registry
-     * name, which is exact for the (stateless) shipped protocols;
-     * decorators carrying configuration must override.
+     * Append the same protocol-internal state to a quiescent checkpoint
+     * (System::checkpoint), and read it back in restore().  Stateless
+     * protocols save nothing; decorators forward to what they wrap.
      */
-    virtual std::unique_ptr<Protocol> clone() const;
+    virtual void checkpoint(CheckpointWords &) const {}
+    virtual void restore(WordReader &) {}
 };
 
 /**

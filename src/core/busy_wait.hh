@@ -53,6 +53,24 @@ class BusyWaitRegister : public SimObject, public BusClient
     bool armed() const { return armed_; }
     Addr blockAddr() const { return blockAddr_; }
 
+    /** The register's part of a quiescent checkpoint. */
+    struct Checkpoint
+    {
+        bool armed = false;
+        Addr blockAddr = 0;
+    };
+
+    void checkpoint(Checkpoint &out) const { out = {armed_, blockAddr_}; }
+
+    /** Re-arm (or disarm) as checkpointed; the owning System restores
+     *  the bus, so no request is posted or withdrawn here. */
+    void
+    restore(const Checkpoint &cp)
+    {
+        armed_ = cp.armed;
+        blockAddr_ = cp.blockAddr;
+    }
+
     /** @name BusClient interface */
     /// @{
     NodeId nodeId() const override { return id_; }

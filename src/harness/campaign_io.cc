@@ -88,23 +88,31 @@ rowFromJson(const Json &row, JobResult *out, std::string *err)
                         : "round_robin";
     r.trace = row["trace"].asString();
     r.partitionFallback = row["partition_fallback"].asString();
-    r.procs = unsigned(row["procs"].asNumber());
-    r.blockWords = unsigned(row["block_words"].asNumber());
-    r.frames = unsigned(row["frames"].asNumber());
-    r.seed = std::uint64_t(row["seed"].asNumber());
     r.status = row["status"].isString() ? row["status"].asString()
                                         : "ok";
     r.error = row["error"].asString();
-    r.firstViolationTick = Tick(row["first_violation_tick"].asNumber());
     r.failingStat = row["failing_stat"].asString();
-    r.attempts = unsigned(row["attempts"].asNumber(1));
     r.retryBackoffMs = row["retry_backoff_ms"].asNumber();
     r.stderrTail = row["stderr_tail"].asString();
-    r.ticks = Tick(row["ticks"].asNumber());
-    r.memOps = std::uint64_t(row["mem_ops"].asNumber());
-    r.checkerViolations = unsigned(row["checker_violations"].asNumber());
-    r.invariantViolations =
-        unsigned(row["invariant_violations"].asNumber());
+    // Counts and ticks are whole numbers: an absent field keeps its
+    // default, but a fractional, negative or out-of-range one refuses
+    // the row instead of being truncated into it.
+    std::string why;
+    auto field = [&](const char *key, auto *dst) {
+        return row[key].isNull() ||
+               readUnsigned(row[key], csprintf("\"%s\"", key), dst, &why);
+    };
+    if (!field("procs", &r.procs) || !field("block_words", &r.blockWords) ||
+        !field("frames", &r.frames) || !field("seed", &r.seed) ||
+        !field("first_violation_tick", &r.firstViolationTick) ||
+        !field("attempts", &r.attempts) || !field("ticks", &r.ticks) ||
+        !field("mem_ops", &r.memOps) ||
+        !field("checker_violations", &r.checkerViolations) ||
+        !field("invariant_violations", &r.invariantViolations)) {
+        if (err)
+            *err = "row " + why;
+        return false;
+    }
     r.wallMs = row["wall_ms"].asNumber();
     r.hostMops = row["host_mops"].asNumber();
     if (!row["stats"].isNull() && !row["stats"].isObject()) {
@@ -160,17 +168,23 @@ campaignFromJson(const Json &doc, CampaignResult *out, std::string *err)
     };
     if (!doc.isObject() || !doc["csync_campaign"].isNumber())
         return loadError("missing \"csync_campaign\" version marker");
-    if (int(doc["csync_campaign"].asNumber()) != kCampaignVersion) {
-        return loadError(csprintf("unsupported version %d",
-                                  int(doc["csync_campaign"].asNumber())));
-    }
+    unsigned version = 0;
+    std::string why;
+    if (!readUnsigned(doc["csync_campaign"], "\"csync_campaign\"",
+                      &version, &why))
+        return loadError(why);
+    if (version != unsigned(kCampaignVersion))
+        return loadError(csprintf("unsupported version %u", version));
     if (!doc["rows"].isArray())
         return loadError("missing \"rows\" array");
 
     CampaignResult result;
     result.name = doc["name"].asString();
     result.specJson = doc["spec"];
-    result.workers = unsigned(doc["workers"].asNumber());
+    if (!doc["workers"].isNull() &&
+        !readUnsigned(doc["workers"], "\"workers\"", &result.workers,
+                      &why))
+        return loadError(why);
     result.wallMs = doc["wall_ms"].asNumber();
     for (std::size_t i = 0; i < doc["rows"].size(); ++i) {
         JobResult r;

@@ -208,14 +208,19 @@ loadJournal(const std::string &path, JournalData *out, std::string *err)
         if (!have_header) {
             if (!doc["csync_journal"].isNumber())
                 return fail("first line is not a journal header");
-            if (int(doc["csync_journal"].asNumber()) != kJournalVersion) {
-                return fail(csprintf(
-                    "unsupported version %d",
-                    int(doc["csync_journal"].asNumber())));
-            }
+            unsigned version = 0;
+            std::string why;
+            if (!readUnsigned(doc["csync_journal"], "\"csync_journal\"",
+                              &version, &why))
+                return fail(why);
+            if (version != unsigned(kJournalVersion))
+                return fail(csprintf("unsupported version %u", version));
             data.header.name = doc["name"].asString();
             data.header.spec = doc["spec"];
-            data.header.jobs = std::size_t(doc["jobs"].asNumber());
+            if (!doc["jobs"].isNull() &&
+                !readUnsigned(doc["jobs"], "\"jobs\"", &data.header.jobs,
+                              &why))
+                return fail(why);
             data.header.shard = doc["shard"].asString();
             have_header = true;
             continue;

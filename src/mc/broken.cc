@@ -136,10 +136,16 @@ DroppedInvalidateProtocol::snapshotState() const
     return inner_->snapshotState();
 }
 
-std::unique_ptr<Protocol>
-DroppedInvalidateProtocol::clone() const
+void
+DroppedInvalidateProtocol::checkpoint(CheckpointWords &out) const
 {
-    return std::make_unique<DroppedInvalidateProtocol>(inner_->clone());
+    inner_->checkpoint(out);
+}
+
+void
+DroppedInvalidateProtocol::restore(WordReader &in)
+{
+    inner_->restore(in);
 }
 
 StaleUpdateProtocol::StaleUpdateProtocol()
@@ -160,15 +166,6 @@ StaleUpdateProtocol::snoop(Cache &c, const BusMsg &msg, Frame *f)
         f->data = std::move(data);
     }
     return r;
-}
-
-std::unique_ptr<Protocol>
-StaleUpdateProtocol::clone() const
-{
-    auto copy = std::make_unique<StaleUpdateProtocol>();
-    copy->setTuning(tuning());
-    copy->policy_ = policy_;
-    return copy;
 }
 
 namespace

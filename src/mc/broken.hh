@@ -61,7 +61,8 @@ class DroppedInvalidateProtocol : public Protocol
     void onEvict(Cache &c, Frame &f) override;
 
     std::string snapshotState() const override;
-    std::unique_ptr<Protocol> clone() const override;
+    void checkpoint(CheckpointWords &out) const override;
+    void restore(WordReader &in) override;
 
   private:
     std::unique_ptr<Protocol> inner_;
@@ -78,7 +79,6 @@ class StaleUpdateProtocol : public AdaptiveProtocol
     StaleUpdateProtocol();
 
     SnoopReply snoop(Cache &c, const BusMsg &msg, Frame *f) override;
-    std::unique_ptr<Protocol> clone() const override;
 };
 
 } // namespace mc

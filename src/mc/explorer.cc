@@ -155,13 +155,9 @@ StateExplorer::enabled(TraceReplayer &r, const AlphaOp &a) const
 }
 
 bool
-StateExplorer::dfs(const DirectedTrace &shape,
-                   const std::vector<AlphaOp> &alphabet,
-                   std::vector<DirectedOp> &prefix, ExploreResult &res)
+StateExplorer::dfs(TraceReplayer &r, const std::vector<AlphaOp> &alphabet,
+                   unsigned depth, ExploreResult &res)
 {
-    TraceReplayer r(shape);
-    for (const DirectedOp &op : prefix)
-        r.step(op);
     ReplayVerdict v = r.verdict();
     ++res.statesVisited;
     if (!v.clean()) {
@@ -170,23 +166,32 @@ StateExplorer::dfs(const DirectedTrace &shape,
         res.counterexampleVerdict = v;
         return true;
     }
-    if (prefix.size() >= bounds_.depth)
+    if (depth >= bounds_.depth)
         return false;
 
     std::string d = r.digest();
     auto it = visited_.find(d);
-    if (it != visited_.end() && it->second <= prefix.size()) {
+    if (it != visited_.end() && it->second <= depth) {
         // Reached before with at least as much depth budget left: every
         // continuation from here was (or will be) explored from there.
         ++res.statesDeduped;
         return false;
     }
     if (it == visited_.end())
-        visited_.emplace(std::move(d), unsigned(prefix.size()));
+        visited_.emplace(std::move(d), depth);
     else
-        it->second = unsigned(prefix.size());
+        it->second = depth;
 
+    // Every child starts from this state: save it once, and restore it
+    // whenever a child has moved the replayer on.
+    TraceReplayer::Checkpoint &here = checkpoints_[depth];
+    r.checkpoint(here);
+    bool moved = false;
     for (const AlphaOp &a : alphabet) {
+        if (moved) {
+            r.restore(here);
+            moved = false;
+        }
         if (!enabled(r, a))
             continue;
         DirectedOp op;
@@ -195,12 +200,12 @@ StateExplorer::dfs(const DirectedTrace &shape,
         op.addr = blockAddr(a.block);
         op.value = (a.kind == DirectedKind::Write ||
                     a.kind == DirectedKind::UnlockWrite)
-                       ? writeValue(unsigned(prefix.size()), a.cache)
+                       ? writeValue(depth, a.cache)
                        : 0;
-        prefix.push_back(op);
-        if (dfs(shape, alphabet, prefix, res))
+        r.step(op);
+        moved = true;
+        if (dfs(r, alphabet, depth + 1, res))
             return true;
-        prefix.pop_back();
     }
     return false;
 }
@@ -294,10 +299,10 @@ StateExplorer::explore(const std::string &protocol)
     res.protocol = protocol;
     res.bounds = bounds_;
     visited_.clear();
-    DirectedTrace shape = shapeFor(protocol);
+    checkpoints_.resize(bounds_.depth);
     std::vector<AlphaOp> alphabet = alphabetFor(protocol);
-    std::vector<DirectedOp> prefix;
-    dfs(shape, alphabet, prefix, res);
+    TraceReplayer r(shapeFor(protocol));
+    dfs(r, alphabet, 0, res);
     if (res.violationFound) {
         minimize(res);
         res.violation = res.counterexampleVerdict.firstProblem;

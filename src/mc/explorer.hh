@@ -2,14 +2,17 @@
  * @file
  * Bounded exhaustive model checker.  The StateExplorer enumerates every
  * interleaving of directed operations (read / write / lock / unlock /
- * evict, per cache, per block) up to a depth bound, replaying each
- * prefix through a fresh System and judging every reachable quiescent
- * state with the TraceReplayer verdict (value checker + structural
- * invariants + lock-waiter liveness).  Reached states are deduplicated
- * by architectural digest — the standard stateful-search optimization —
- * so the search collapses to the protocol's actual reachable state
- * graph instead of the full operation tree.  On a violation the failing
- * interleaving is shrunk to a minimal replayable counterexample.
+ * evict, per cache, per block) up to a depth bound and judges every
+ * reachable quiescent state with the TraceReplayer verdict (value
+ * checker + structural invariants + lock-waiter liveness).  The search
+ * drives one TraceReplayer per protocol: each node saves a quiescent
+ * checkpoint of its state, and each child restores it in place and
+ * steps one op, so no state rebuilds a System or replays its prefix.
+ * Reached states are deduplicated by architectural digest — the
+ * standard stateful-search optimization — so the search collapses to
+ * the protocol's actual reachable state graph instead of the full
+ * operation tree.  On a violation the failing interleaving is shrunk to
+ * a minimal replayable counterexample (by fresh replays).
  */
 
 #ifndef CSYNC_MC_EXPLORER_HH
@@ -59,7 +62,7 @@ struct ExploreResult
 {
     std::string protocol;
     ExploreBounds bounds;
-    /** Quiescent states judged (tree nodes replayed). */
+    /** Quiescent states judged (tree nodes reached). */
     std::uint64_t statesVisited = 0;
     /** Nodes cut because their digest was already reached at an equal
      *  or shallower depth. */
@@ -96,6 +99,10 @@ class StateExplorer
      *  @p cache (fresh per step, so stale data never aliases it). */
     static Word writeValue(unsigned step, unsigned cache);
 
+    /** The shape every system explored for @p protocol is built from
+     *  (model geometry, topology, pinned adaptive thresholds). */
+    DirectedTrace shapeFor(const std::string &protocol) const;
+
   private:
     struct AlphaOp
     {
@@ -104,17 +111,21 @@ class StateExplorer
         unsigned block;
     };
 
-    DirectedTrace shapeFor(const std::string &protocol) const;
     std::vector<AlphaOp> alphabetFor(const std::string &protocol) const;
     bool enabled(TraceReplayer &r, const AlphaOp &a) const;
-    bool dfs(const DirectedTrace &shape,
-             const std::vector<AlphaOp> &alphabet,
-             std::vector<DirectedOp> &prefix, ExploreResult &res);
+    /** Judge the state @p r holds (reached by @p depth ops), then
+     *  search each enabled op from it. */
+    bool dfs(TraceReplayer &r, const std::vector<AlphaOp> &alphabet,
+             unsigned depth, ExploreResult &res);
     void minimize(ExploreResult &res) const;
 
     ExploreBounds bounds_;
     /** digest -> shallowest depth at which it was reached. */
     std::unordered_map<std::string, unsigned> visited_;
+    /** The state each search depth restores before its next child, one
+     *  per depth; kept across explore() calls so its buffers are
+     *  reused. */
+    std::vector<TraceReplayer::Checkpoint> checkpoints_;
 };
 
 } // namespace mc

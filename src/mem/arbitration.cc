@@ -39,6 +39,14 @@ class RoundRobinPolicy : public ArbitrationPolicy
 
     void onGrant(NodeId node, TrafficClass) override { last_ = node; }
 
+    void
+    checkpoint(CheckpointWords &out) const override
+    {
+        out.push_back(std::uint64_t(last_));
+    }
+
+    void restore(WordReader &in) override { last_ = NodeId(in.next()); }
+
   private:
     NodeId last_ = invalidNode;
 };
@@ -116,6 +124,22 @@ class AlternatingPriorityPolicy : public ArbitrationPolicy
         last_[unsigned(cls)] = node;
         // Alternate: after serving one class, prefer the other.
         preferSync_ = cls == TrafficClass::Data;
+    }
+
+    void
+    checkpoint(CheckpointWords &out) const override
+    {
+        for (NodeId last : last_)
+            out.push_back(std::uint64_t(last));
+        out.push_back(preferSync_);
+    }
+
+    void
+    restore(WordReader &in) override
+    {
+        for (NodeId &last : last_)
+            last = NodeId(in.next());
+        preferSync_ = in.next() != 0;
     }
 
   private:

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "mem/bus_msg.hh"
+#include "sim/checkpoint.hh"
 #include "sim/types.hh"
 
 namespace csync
@@ -66,6 +67,13 @@ class ArbitrationPolicy
         (void)node;
         (void)cls;
     }
+
+    /** Append the grant history (behaviour: round-robin's last winner
+     *  picks the next one) to a quiescent checkpoint. */
+    virtual void checkpoint(CheckpointWords &) const {}
+
+    /** Restore the history checkpoint() appended. */
+    virtual void restore(WordReader &) {}
 };
 
 /** Factory for the shipped arbitration disciplines. */

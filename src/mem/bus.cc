@@ -117,6 +117,28 @@ Bus::requestPending(const BusClient *client) const
 }
 
 void
+Bus::checkpoint(Checkpoint &out) const
+{
+    sim_assert(queue_.empty() && !busy_ && !arbScheduled_,
+               "checkpoint of %s with bus traffic pending", name().c_str());
+    sim_assert(!faults_, "checkpoint of faulted bus %s", name().c_str());
+    out.arbitration.clear();
+    arb_->checkpoint(out.arbitration);
+}
+
+void
+Bus::restore(const Checkpoint &cp)
+{
+    queue_.clear();
+    busy_ = false;
+    arbScheduled_ = false;
+    WordReader words(cp.arbitration);
+    arb_->restore(words);
+    sim_assert(words.done(), "arbitration checkpoint of %s not fully read",
+               name().c_str());
+}
+
+void
 Bus::scheduleArbitration()
 {
     if (arbScheduled_)

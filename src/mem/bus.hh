@@ -143,6 +143,21 @@ class Bus final : public SimObject
     /** Tick at which lastMsg() was broadcast. */
     Tick lastMsgTick() const { return lastMsgTick_; }
 
+    /** The bus's part of a quiescent checkpoint: the arbitration
+     *  policy's grant history.  An idle bus holds no other behaviour;
+     *  the last-message diagnostics are not saved. */
+    struct Checkpoint
+    {
+        CheckpointWords arbitration;
+    };
+
+    /** Save an idle bus; panics on queued or in-flight requests and on
+     *  a faulted bus (the fault injector's draws are not saved). */
+    void checkpoint(Checkpoint &out) const;
+
+    /** Drop any queued requests and restore the grant history. */
+    void restore(const Checkpoint &cp);
+
     /** @name Statistics */
     /// @{
     stats::Group statsGroup;

@@ -124,4 +124,20 @@ Memory::memLockHolder(Addr block_addr) const
     return it == lockTags_.end() ? invalidNode : it->second.holder;
 }
 
+void
+Memory::checkpoint(Checkpoint &out) const
+{
+    out.store = store_;
+    out.ownedBlocks = ownedBlocks_;
+    out.lockTags = lockTags_;
+}
+
+void
+Memory::restore(const Checkpoint &cp)
+{
+    store_ = cp.store;
+    ownedBlocks_ = cp.ownedBlocks;
+    lockTags_ = cp.lockTags;
+}
+
 } // namespace csync

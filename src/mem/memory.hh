@@ -57,6 +57,15 @@ class Memory : public SimObject
     /** Inspect a block without touching statistics (checkers, tests). */
     std::vector<Word> peekBlock(Addr block_addr) const;
 
+    /** The stored block at block-aligned @p block_addr, or null if it
+     *  was never written (it reads as zeros); no copy, no statistics. */
+    const std::vector<Word> *
+    storedBlock(Addr block_addr) const
+    {
+        auto it = store_.find(block_addr);
+        return it == store_.end() ? nullptr : &it->second;
+    }
+
     /** Write a whole block. */
     void writeBlock(Addr block_addr, const std::vector<Word> &data);
 
@@ -82,6 +91,26 @@ class Memory : public SimObject
     NodeId memLockHolder(Addr block_addr) const;
     /// @}
 
+  private:
+    struct LockTag
+    {
+        bool waiter = false;
+        NodeId holder = invalidNode;
+    };
+
+  public:
+    /** Memory's part of a quiescent checkpoint: data, source bits and
+     *  lock tags (statistics ride the System's stats tree). */
+    struct Checkpoint
+    {
+        std::unordered_map<Addr, std::vector<Word>> store;
+        std::unordered_set<Addr> ownedBlocks;
+        std::unordered_map<Addr, LockTag> lockTags;
+    };
+
+    void checkpoint(Checkpoint &out) const;
+    void restore(const Checkpoint &cp);
+
     /** @name Statistics */
     /// @{
     stats::Group statsGroup;
@@ -92,12 +121,6 @@ class Memory : public SimObject
     /// @}
 
   private:
-    struct LockTag
-    {
-        bool waiter = false;
-        NodeId holder = invalidNode;
-    };
-
     unsigned blockWords_;
     std::unordered_map<Addr, std::vector<Word>> store_;
     std::unordered_set<Addr> ownedBlocks_;

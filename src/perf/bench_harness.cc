@@ -45,33 +45,44 @@ KernelResult
 BenchHarness::run(const std::string &name, const KernelFn &fn,
                   const BenchOptions &opts)
 {
+    return runInterleaved({{name, fn}}, opts).front();
+}
+
+std::vector<KernelResult>
+BenchHarness::runInterleaved(const std::vector<Named> &kernels,
+                             const BenchOptions &opts)
+{
     using clock = std::chrono::steady_clock;
 
-    KernelResult r;
-    r.name = name;
-    r.reps = opts.reps ? opts.reps : 1;
-
-    for (unsigned i = 0; i < opts.warmup; ++i)
-        r.opsPerRep = fn();
-
-    std::vector<double> ms;
-    ms.reserve(r.reps);
-    for (unsigned i = 0; i < r.reps; ++i) {
-        auto t0 = clock::now();
-        r.opsPerRep = fn();
-        auto t1 = clock::now();
-        ms.push_back(
-            std::chrono::duration<double, std::milli>(t1 - t0).count());
+    std::vector<KernelResult> out(kernels.size());
+    for (std::size_t k = 0; k < kernels.size(); ++k) {
+        out[k].name = kernels[k].name;
+        out[k].reps = opts.reps ? opts.reps : 1;
+        out[k].repMs.reserve(out[k].reps);
+        for (unsigned i = 0; i < opts.warmup; ++i)
+            out[k].opsPerRep = kernels[k].fn();
+    }
+    const unsigned reps = opts.reps ? opts.reps : 1;
+    for (unsigned i = 0; i < reps; ++i) {
+        for (std::size_t k = 0; k < kernels.size(); ++k) {
+            auto t0 = clock::now();
+            out[k].opsPerRep = kernels[k].fn();
+            auto t1 = clock::now();
+            out[k].repMs.push_back(
+                std::chrono::duration<double, std::milli>(t1 - t0).count());
+        }
     }
 
-    r.medianMs = median(ms);
-    r.minMs = *std::min_element(ms.begin(), ms.end());
-    r.maxMs = *std::max_element(ms.begin(), ms.end());
-    if (r.medianMs > 0 && r.opsPerRep > 0) {
-        r.opsPerSec = double(r.opsPerRep) / (r.medianMs / 1e3);
-        r.nsPerOp = r.medianMs * 1e6 / double(r.opsPerRep);
+    for (KernelResult &r : out) {
+        r.medianMs = median(r.repMs);
+        r.minMs = *std::min_element(r.repMs.begin(), r.repMs.end());
+        r.maxMs = *std::max_element(r.repMs.begin(), r.repMs.end());
+        if (r.medianMs > 0 && r.opsPerRep > 0) {
+            r.opsPerSec = double(r.opsPerRep) / (r.medianMs / 1e3);
+            r.nsPerOp = r.medianMs * 1e6 / double(r.opsPerRep);
+        }
     }
-    return r;
+    return out;
 }
 
 harness::Json

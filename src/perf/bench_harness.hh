@@ -61,6 +61,9 @@ struct KernelResult
     double opsPerSec = 0;
     /** Nanoseconds per operation at the median repetition. */
     double nsPerOp = 0;
+    /** Every timed repetition's wall time, in run order (not
+     *  serialized): interleaved kernels compare rep by rep. */
+    std::vector<double> repMs;
     /**
      * Deterministic simulator statistics the kernel chose to record
      * (e.g. root-bus transactions of the snoop-filter pair): identical
@@ -89,6 +92,21 @@ class BenchHarness
      */
     KernelResult run(const std::string &name, const KernelFn &fn,
                      const BenchOptions &opts = {});
+
+    /** A named kernel for runInterleaved(). */
+    struct Named
+    {
+        std::string name;
+        KernelFn fn;
+    };
+
+    /**
+     * Measure several kernels rep by rep: warm each up, then run timed
+     * rep i of every kernel before rep i+1 of any, so host-speed drift
+     * lands on all of them alike.  Results are in @p kernels order.
+     */
+    std::vector<KernelResult> runInterleaved(const std::vector<Named> &kernels,
+                                             const BenchOptions &opts = {});
 };
 
 /** Median of @p v (by value: the input is sorted internally); 0 when

@@ -252,6 +252,36 @@ class EventQueue
     /** Discard all pending events and reset time to zero. */
     void reset();
 
+    /** The queue's part of a quiescent checkpoint: the clock and the
+     *  counters (an empty queue holds no other state that matters). */
+    struct Checkpoint
+    {
+        Tick now = 0;
+        std::uint64_t seq = 0;
+        std::uint64_t executed = 0;
+    };
+
+    /** Save the clock; panics unless the queue is empty. */
+    void
+    checkpoint(Checkpoint &out) const
+    {
+        sim_assert(heap_.empty(),
+                   "checkpoint of an event queue with %zu pending events",
+                   heap_.size());
+        out = Checkpoint{now_, seq_, executed_};
+    }
+
+    /** Discard pending events (a stalled state's leftovers) and return
+     *  to a checkpointed clock. */
+    void
+    restore(const Checkpoint &cp)
+    {
+        reset();
+        now_ = cp.now;
+        seq_ = cp.seq;
+        executed_ = cp.executed;
+    }
+
   private:
     /** A pooled event: the callback plus the free-list link. */
     struct Node

@@ -81,6 +81,29 @@ Histogram::reset()
     max_ = 0;
 }
 
+void
+Histogram::checkpoint(CheckpointWords &out) const
+{
+    out.insert(out.end(), buckets_.begin(), buckets_.end());
+    out.push_back(overflow_);
+    out.push_back(count_);
+    putDouble(out, sum_);
+    out.push_back(min_);
+    out.push_back(max_);
+}
+
+void
+Histogram::restore(WordReader &in)
+{
+    for (auto &b : buckets_)
+        b = in.next();
+    overflow_ = in.next();
+    count_ = in.next();
+    sum_ = in.nextDouble();
+    min_ = in.next();
+    max_ = in.next();
+}
+
 Formula::Formula(Group *parent, std::string name, std::string desc, Fn fn)
     : Info(parent, std::move(name), std::move(desc), Kind::Formula),
       fn_(std::move(fn))
@@ -128,6 +151,24 @@ Group::resetStats()
         s->reset();
     for (auto *c : children_)
         c->resetStats();
+}
+
+void
+Group::checkpointStats(CheckpointWords &out) const
+{
+    for (const auto *s : stats_)
+        s->checkpoint(out);
+    for (const auto *c : children_)
+        c->checkpointStats(out);
+}
+
+void
+Group::restoreStats(WordReader &in)
+{
+    for (auto *s : stats_)
+        s->restore(in);
+    for (auto *c : children_)
+        c->restoreStats(in);
 }
 
 double

@@ -16,6 +16,8 @@
 #include <string>
 #include <vector>
 
+#include "sim/checkpoint.hh"
+
 namespace csync
 {
 namespace stats
@@ -49,6 +51,12 @@ class Info
     /** Reset to the freshly-constructed value. */
     virtual void reset() = 0;
 
+    /** Append the current value(s) to a quiescent checkpoint. */
+    virtual void checkpoint(CheckpointWords &out) const = 0;
+
+    /** Restore the value(s) checkpoint() appended. */
+    virtual void restore(WordReader &in) = 0;
+
   private:
     std::string name_;
     std::string desc_;
@@ -72,6 +80,11 @@ class Scalar : public Info
 
     void print(std::ostream &os, const std::string &prefix) const override;
     void reset() override { value_ = 0; }
+    void checkpoint(CheckpointWords &out) const override
+    {
+        putDouble(out, value_);
+    }
+    void restore(WordReader &in) override { value_ = in.nextDouble(); }
 
   private:
     double value_ = 0;
@@ -121,6 +134,8 @@ class Histogram : public Info
 
     void print(std::ostream &os, const std::string &prefix) const override;
     void reset() override;
+    void checkpoint(CheckpointWords &out) const override;
+    void restore(WordReader &in) override;
 
   private:
     std::uint64_t bucketSize_;
@@ -147,6 +162,9 @@ class Formula : public Info
 
     void print(std::ostream &os, const std::string &prefix) const override;
     void reset() override {}
+    /** Derived: nothing of its own to save. */
+    void checkpoint(CheckpointWords &) const override {}
+    void restore(WordReader &) override {}
 
   private:
     Fn fn_;
@@ -178,6 +196,13 @@ class Group
 
     /** Reset this group's stats and all children. */
     void resetStats();
+
+    /** Append every statistic's value, this group's then its
+     *  children's, to a quiescent checkpoint. */
+    void checkpointStats(CheckpointWords &out) const;
+
+    /** Restore the values checkpointStats() appended (same tree). */
+    void restoreStats(WordReader &in);
 
     /** Look up a scalar/formula value by dotted path; 0 if absent. */
     double lookup(const std::string &stat_name) const;

@@ -232,6 +232,31 @@ Checker::lockHolder(Addr block_addr) const
     return it == lockHolders_.end() ? invalidNode : it->second;
 }
 
+void
+Checker::checkpoint(Checkpoint &out) const
+{
+    sim_assert(domains_.empty(), "checkpoint of a sharded checker");
+    out.last = last_;
+    out.lockHolders = lockHolders_;
+    out.violations = violations_;
+    out.firstViolationTick = firstViolationTick_;
+    out.firstViolation = firstViolation_;
+    out.firstKind = firstKind_;
+    out.firstNode = firstNode_;
+}
+
+void
+Checker::restore(const Checkpoint &cp)
+{
+    last_ = cp.last;
+    lockHolders_ = cp.lockHolders;
+    violations_ = cp.violations;
+    firstViolationTick_ = cp.firstViolationTick;
+    firstViolation_ = cp.firstViolation;
+    firstKind_ = cp.firstKind;
+    firstNode_ = cp.firstNode;
+}
+
 std::string
 Checker::firstViolationStat() const
 {

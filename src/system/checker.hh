@@ -124,6 +124,24 @@ class Checker
     /** Current lock holder of a block, or invalidNode. */
     NodeId lockHolder(Addr block_addr) const;
 
+    /** The checker's part of a quiescent checkpoint: expectations, lock
+     *  holders and violation records (the counters ride the System's
+     *  stats tree). */
+    struct Checkpoint
+    {
+        std::unordered_map<Addr, Word> last;
+        std::unordered_map<Addr, NodeId> lockHolders;
+        std::vector<std::string> violations;
+        Tick firstViolationTick = 0;
+        std::string firstViolation;
+        ViolationKind firstKind = ViolationKind::None;
+        NodeId firstNode = invalidNode;
+    };
+
+    /** Save the checker; panics while it is sharded. */
+    void checkpoint(Checkpoint &out) const;
+    void restore(const Checkpoint &cp);
+
     /** @name Statistics */
     /// @{
     stats::Group statsGroup;

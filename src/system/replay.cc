@@ -246,84 +246,128 @@ TraceReplayer::verdict()
     return v;
 }
 
+namespace
+{
+
+/** @name Digest fields.  A word is a LEB128 varint: self-delimiting,
+ *  so a concatenation of fields decodes one way, and one byte for the
+ *  small values the explorer writes. */
+/// @{
+void
+putByte(std::string &d, unsigned v)
+{
+    d.push_back(char(v));
+}
+
+void
+putWord(std::string &d, std::uint64_t v)
+{
+    while (v >= 0x80) {
+        d.push_back(char(0x80 | (v & 0x7f)));
+        v >>= 7;
+    }
+    d.push_back(char(v));
+}
+
+/** A node id, shifted so invalidNode (-1) encodes as 0. */
+void
+putNode(std::string &d, NodeId n)
+{
+    putWord(d, std::uint64_t(std::int64_t(n) + 1));
+}
+/// @}
+
+} // anonymous namespace
+
 std::string
 TraceReplayer::digest()
 {
+    // A binary encoding: the touched-block list first, then
+    // self-delimiting fields whose count is fixed by the trace shape, a
+    // flag or a preceding length, so two digests are equal exactly when
+    // every field is.  Built in a reused buffer and returned at its
+    // exact size: the explorer keeps every distinct digest.
+    thread_local std::string d;
+    d.clear();
     System &sys = system();
-    std::string d;
+    const unsigned words = recorded_.blockWords;
+    putWord(d, blocks_.size());
+    for (Addr b : blocks_)
+        putWord(d, b);
     for (unsigned i = 0; i < sys.numCaches(); ++i) {
         Cache &c = sys.cache(i);
-        d += csprintf("c%u[", i);
         for (Addr b : blocks_) {
             const Frame *f = c.peekFrame(b);
-            if (!f || !f->valid())
+            if (!f || !f->valid()) {
+                putByte(d, 0);
                 continue;
-            d += csprintf("%llx:%u:", (unsigned long long)b,
-                          unsigned(f->state));
-            for (Word w : f->data)
-                d += csprintf("%llx,", (unsigned long long)w);
-            d += ";";
+            }
+            putByte(d, 1);
+            putByte(d, f->state);
+            for (unsigned w = 0; w < words; ++w)
+                putWord(d, f->data[w]);
         }
-        d += "]";
-        if (c.busyWaitArmed()) {
-            d += csprintf("bw=%llx",
-                          (unsigned long long)c.busyWaitAddr());
-        }
+        putByte(d, c.busyWaitArmed());
+        if (c.busyWaitArmed())
+            putWord(d, c.busyWaitAddr());
         // The digest walks every cache *port* (numCaches is processors
         // x switches); the replayer's issue slots are per processor, so
         // only the first port block consults them.
-        if (i < recorded_.processors && busy(i))
-            d += "busy";
-        for (Addr b : blocks_) {
-            if (c.holdsPurgedLock(b))
-                d += csprintf("pl=%llx", (unsigned long long)b);
-        }
-        d += "{";
-        d += c.protocol().snapshotState();
-        d += "}";
+        putByte(d, i < recorded_.processors && busy(i));
+        for (Addr b : blocks_)
+            putByte(d, c.holdsPurgedLock(b));
+        std::string proto = c.protocol().snapshotState();
+        putWord(d, proto.size());
+        d += proto;
     }
-    d += "m[";
+    Memory &mem = sys.memory();
     for (Addr b : blocks_) {
-        d += csprintf("%llx:", (unsigned long long)b);
-        for (Word w : sys.memory().peekBlock(b))
-            d += csprintf("%llx,", (unsigned long long)w);
-        if (sys.memory().cacheOwned(b))
-            d += "o";
-        if (sys.memory().memLocked(b)) {
-            d += csprintf("L%d", sys.memory().memLockHolder(b));
-            if (sys.memory().memWaiter(b))
-                d += "w";
+        const std::vector<Word> *data = mem.storedBlock(b);
+        for (unsigned w = 0; w < words; ++w)
+            putWord(d, data ? (*data)[w] : 0);
+        putByte(d, mem.cacheOwned(b));
+        putByte(d, mem.memLocked(b));
+        if (mem.memLocked(b)) {
+            putNode(d, mem.memLockHolder(b));
+            putByte(d, mem.memWaiter(b));
         }
-        d += ";";
     }
-    d += "]k[";
+    const Checker &chk = sys.checker();
     for (Addr b : blocks_) {
-        for (unsigned w = 0; w < recorded_.blockWords; ++w) {
-            Addr wa = b + Addr(w) * bytesPerWord;
-            d += csprintf("%llx,",
-                          (unsigned long long)
-                              sys.checker().expectedValue(wa));
-        }
-        d += csprintf("h%d;", sys.checker().lockHolder(b));
+        for (unsigned w = 0; w < words; ++w)
+            putWord(d, chk.expectedValue(b + Addr(w) * bytesPerWord));
+        putNode(d, chk.lockHolder(b));
     }
-    d += "]";
     // Inclusive L2 tags are architectural on clustered machines: they
     // steer future snoop forwarding, so two states that differ only in
     // tag residency are not interchangeable for further exploration.
-    if (sys.numSharedCaches()) {
-        d += "l2[";
-        for (unsigned c = 0; c < sys.numSharedCaches(); ++c) {
-            d += csprintf("%u:", c);
-            for (Addr b : blocks_) {
-                std::size_t home = sys.addressMap().switchFor(b);
-                if (sys.sharedCache(c).tagPresent(home, b))
-                    d += csprintf("%llx,", (unsigned long long)b);
-            }
-            d += ";";
+    for (unsigned c = 0; c < sys.numSharedCaches(); ++c) {
+        for (Addr b : blocks_) {
+            std::size_t home = sys.addressMap().switchFor(b);
+            putByte(d, sys.sharedCache(c).tagPresent(home, b));
         }
-        d += "]";
     }
-    return d;
+    return std::string(d);
+}
+
+void
+TraceReplayer::checkpoint(Checkpoint &out) const
+{
+    scenario_.checkpoint(out.scenario);
+    out.blocks = blocks_;
+    out.skipped = skipped_;
+    out.ops = recorded_.ops.size();
+}
+
+void
+TraceReplayer::restore(const Checkpoint &cp)
+{
+    sim_assert(cp.ops <= recorded_.ops.size(),
+               "replay checkpoint is not a prefix of this replay");
+    scenario_.restore(cp.scenario);
+    blocks_ = cp.blocks;
+    skipped_ = cp.skipped;
+    recorded_.ops.resize(cp.ops);
 }
 
 ReplayVerdict

@@ -7,9 +7,11 @@
  * Scenario (whose bounded settle makes ablated configurations that
  * livelock surface as a "stalled" verdict instead of hanging), and
  * renders a ReplayVerdict from the value checker, the structural
- * invariant scan, and a lock-waiter liveness check.  Any trace the
- * explorer or fuzzer flags can be serialized to JSON and replayed
- * bit-identically later.
+ * invariant scan, and a lock-waiter liveness check.  A settled replay
+ * can be checkpointed and restored in place, which is how the explorer
+ * steps from a parent state to each child.  Any trace the explorer or
+ * fuzzer flags can be serialized to JSON and replayed bit-identically
+ * later.
  */
 
 #ifndef CSYNC_SYSTEM_REPLAY_HH
@@ -163,6 +165,29 @@ class TraceReplayer
      * equal digests are interchangeable for further exploration.
      */
     std::string digest();
+
+    /** A settled replay: the Scenario's checkpoint plus the touched
+     *  blocks, the skip count and the recorded trace's length. */
+    struct Checkpoint
+    {
+        Scenario::Checkpoint scenario;
+        std::vector<Addr> blocks;
+        unsigned skipped = 0;
+        std::size_t ops = 0;
+    };
+
+    /**
+     * Save the replay at a quiescent point (after step() or verdict()
+     * on a run that has not stalled); panics if events are pending.
+     */
+    void checkpoint(Checkpoint &out) const;
+
+    /**
+     * Return to @p cp, taken from this replayer: the recorded trace is
+     * cut back to its length then, and the next step() continues from
+     * the saved state exactly as a fresh replay of that prefix would.
+     */
+    void restore(const Checkpoint &cp);
 
   private:
     void noteBlock(Addr block_addr);

@@ -1,5 +1,7 @@
 #include "system/scenario.hh"
 
+#include <algorithm>
+
 namespace csync
 {
 
@@ -95,6 +97,24 @@ Scenario::pendingCompleted(unsigned p, AccessResult *out) const
     if (slot.completed && out)
         *out = slot.result;
     return slot.completed;
+}
+
+void
+Scenario::checkpoint(Checkpoint &out) const
+{
+    sys_->checkpoint(out.system);
+    out.slots = slots_;
+    out.stalled = stalled_;
+}
+
+void
+Scenario::restore(const Checkpoint &cp)
+{
+    sys_->restore(cp.system);
+    sim_assert(cp.slots.size() == slots_.size(),
+               "scenario checkpoint from another machine");
+    std::copy(cp.slots.begin(), cp.slots.end(), slots_.begin());
+    stalled_ = cp.stalled;
 }
 
 void

@@ -99,6 +99,24 @@ class Scenario
         AccessResult result;
     };
 
+  public:
+    /** A settled scenario: the System's checkpoint plus the issue slots
+     *  and the stall flag (narration is not saved). */
+    struct Checkpoint
+    {
+        System::Checkpoint system;
+        std::vector<Slot> slots;
+        bool stalled = false;
+    };
+
+    /** Save the scenario; panics unless its event queue is empty. */
+    void checkpoint(Checkpoint &out) const;
+
+    /** Restore in place: the slots the caches' completion callbacks
+     *  point at are the same objects afterwards. */
+    void restore(const Checkpoint &cp);
+
+  private:
     std::unique_ptr<System> sys_;
     std::vector<Slot> slots_;
     std::vector<std::string> log_;

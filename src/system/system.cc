@@ -378,6 +378,53 @@ System::progressDiagnostic(const std::string &why) const
 }
 
 void
+System::checkpoint(Checkpoint &out) const
+{
+    sim_assert(procs_.empty() && !io_,
+               "checkpoints cover directed machines only");
+    eq_.checkpoint(out.eq);
+    out.stats.clear();
+    root_.checkpointStats(out.stats);
+    checker_.checkpoint(out.checker);
+    out.ports.resize(ports_.size());
+    for (std::size_t k = 0; k < ports_.size(); ++k) {
+        const Port &port = ports_[k];
+        Checkpoint::Port &saved = out.ports[k];
+        port.memory->checkpoint(saved.memory);
+        port.bus->checkpoint(saved.bus);
+        saved.caches.resize(port.caches.size());
+        for (std::size_t i = 0; i < port.caches.size(); ++i)
+            port.caches[i]->checkpoint(saved.caches[i]);
+    }
+    out.l2s.resize(l2s_.size());
+    for (std::size_t c = 0; c < l2s_.size(); ++c)
+        l2s_[c]->checkpoint(out.l2s[c]);
+}
+
+void
+System::restore(const Checkpoint &cp)
+{
+    sim_assert(cp.ports.size() == ports_.size() &&
+                   cp.l2s.size() == l2s_.size(),
+               "checkpoint from another machine");
+    eq_.restore(cp.eq);
+    WordReader stats(cp.stats);
+    root_.restoreStats(stats);
+    sim_assert(stats.done(), "stats checkpoint not fully read");
+    checker_.restore(cp.checker);
+    for (std::size_t k = 0; k < ports_.size(); ++k) {
+        Port &port = ports_[k];
+        const Checkpoint::Port &saved = cp.ports[k];
+        port.memory->restore(saved.memory);
+        port.bus->restore(saved.bus);
+        for (std::size_t i = 0; i < port.caches.size(); ++i)
+            port.caches[i]->restore(saved.caches.at(i));
+    }
+    for (std::size_t c = 0; c < l2s_.size(); ++c)
+        l2s_[c]->restore(cp.l2s[c]);
+}
+
+void
 System::dumpStats(std::ostream &os)
 {
     root_.dump(os);

@@ -181,6 +181,41 @@ class System
      */
     unsigned checkStateInvariants(std::string *why = nullptr);
 
+    /**
+     * A quiescent checkpoint: everything a later directed step can
+     * observe — the clock, every statistic, the checker, and each
+     * switch's memory, bus and cache ports, plus the L2 tags of a
+     * clustered machine.  A checkpoint is restored into the System it
+     * was taken from, in place, so every Frame pointer and every
+     * completion callback into the Scenario stays valid.  Its buffers
+     * are reused by the next checkpoint() into it.
+     */
+    struct Checkpoint
+    {
+        struct Port
+        {
+            Memory::Checkpoint memory;
+            Bus::Checkpoint bus;
+            std::vector<Cache::Checkpoint> caches;
+        };
+
+        EventQueue::Checkpoint eq;
+        CheckpointWords stats;
+        Checker::Checkpoint checker;
+        std::vector<Port> ports;
+        std::vector<SharedCache::Checkpoint> l2s;
+    };
+
+    /**
+     * Save the machine.  Only a quiescent directed machine can be
+     * saved: the event queue must be empty, and no processor, I/O
+     * device or fault plan may be attached; anything else panics.
+     */
+    void checkpoint(Checkpoint &out) const;
+
+    /** Return this System to @p cp, discarding any pending events. */
+    void restore(const Checkpoint &cp);
+
   private:
     /** One interconnect switch: its memory partition, its bus, and one
      *  cache port per processor. */

@@ -285,6 +285,43 @@ TEST(Campaign, LoaderRejectsNonCampaignDocuments)
     EXPECT_NE(err.find("unsupported version"), std::string::npos) << err;
 }
 
+TEST(Campaign, LoaderRefusesNonIntegralCountsAndTicks)
+{
+    auto jobs = smallGrid();
+    jobs.resize(1);
+    Json good = campaignToJson(CampaignRunner().run(jobs));
+    CampaignResult out;
+    std::string err;
+    ASSERT_TRUE(campaignFromJson(good, &out, &err)) << err;
+
+    // A golden row edited to a fractional tick or a negative violation
+    // count must be refused, not truncated into a matching row.
+    auto edited = [&](const char *key, double value) {
+        std::string perr;
+        Json doc = Json::parse(good.dump(0), &perr);
+        Json row = doc["rows"].at(0);
+        row.set(key, value);
+        Json rows = Json::array();
+        rows.push(std::move(row));
+        doc.set("rows", std::move(rows));
+        return doc;
+    };
+    EXPECT_FALSE(campaignFromJson(edited("ticks", 3498.9), &out, &err));
+    EXPECT_NE(err.find("\"ticks\""), std::string::npos) << err;
+    EXPECT_FALSE(
+        campaignFromJson(edited("checker_violations", -1), &out, &err));
+    EXPECT_NE(err.find("\"checker_violations\""), std::string::npos)
+        << err;
+
+    Json doc = Json::parse(good.dump(0), &err);
+    doc.set("workers", 2.5);
+    EXPECT_FALSE(campaignFromJson(doc, &out, &err));
+    EXPECT_NE(err.find("\"workers\""), std::string::npos) << err;
+    doc = Json::parse(good.dump(0), &err);
+    doc.set("csync_campaign", 1.5);
+    EXPECT_FALSE(campaignFromJson(doc, &out, &err));
+}
+
 TEST(Campaign, CsvHasHeaderAndOneLinePerJob)
 {
     auto jobs = smallGrid();

@@ -159,6 +159,39 @@ TEST(Journal, RoundTripsHeaderAndRows)
     EXPECT_EQ(back.stats, row.stats);
 }
 
+TEST(Journal, LoaderRefusesNonIntegralHeaderAndRowFields)
+{
+    TempPath path("journal_numbers.jsonl");
+    JournalData data;
+    std::string err;
+    auto load = [&](const std::string &header, const std::string &row) {
+        {
+            std::ofstream out(path.str(),
+                              std::ios::binary | std::ios::trunc);
+            out << header << "\n" << row << "\n";
+        }
+        return loadJournal(path.str(), &data, &err);
+    };
+    const std::string header =
+        "{\"csync_journal\":1,\"name\":\"x\",\"spec\":{},\"jobs\":1}";
+    const std::string row =
+        "{\"job_id\":\"aa\",\"row\":{\"name\":\"j\",\"ticks\":3498}}";
+    ASSERT_TRUE(load(header, row)) << err;
+    EXPECT_EQ(data.header.jobs, 1u);
+
+    EXPECT_FALSE(load("{\"csync_journal\":1,\"name\":\"x\",\"spec\":{},"
+                      "\"jobs\":2.5}",
+                      row));
+    EXPECT_NE(err.find("\"jobs\""), std::string::npos) << err;
+    EXPECT_FALSE(load(header, "{\"job_id\":\"aa\",\"row\":{\"name\":\"j\","
+                              "\"ticks\":3498.9}}"));
+    EXPECT_NE(err.find("\"ticks\""), std::string::npos) << err;
+    EXPECT_FALSE(load(header, "{\"job_id\":\"aa\",\"row\":{\"name\":\"j\","
+                              "\"checker_violations\":-1}}"));
+    EXPECT_NE(err.find("\"checker_violations\""), std::string::npos)
+        << err;
+}
+
 TEST(Journal, TornTrailingLineIsDroppedButMiddleCorruptionIsNot)
 {
     auto jobs = smallGrid();

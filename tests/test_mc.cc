@@ -3,12 +3,15 @@
  * Tests for the bounded exhaustive model checker: all shipped protocols
  * must be clean at the smoke bound, and the deliberately broken variant
  * (dropped invalidation) must be found with a minimal, replayable
- * counterexample.
+ * counterexample.  The checkpoint tests hold the explorer's incremental
+ * search to a fresh replay of every prefix it reaches.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <sstream>
+#include <unordered_map>
 
 #include "coherence/protocol.hh"
 #include "mc/explorer.hh"
@@ -176,21 +179,6 @@ TEST(Explorer, WriteValuesAreFreshPerStepAndCache)
     }
 }
 
-TEST(Protocol, CloneReproducesRegisteredProtocols)
-{
-    for (const std::string &name : StateExplorer::shippedProtocols()) {
-        auto p = ProtocolRegistry::make(name);
-        ASSERT_NE(p, nullptr) << name;
-        auto c = p->clone();
-        ASSERT_NE(c, nullptr) << name;
-        EXPECT_EQ(c->name(), p->name());
-    }
-    // The broken decorator deep-clones its wrapped protocol.
-    auto broken = ProtocolRegistry::make("broken_noinval");
-    ASSERT_NE(broken, nullptr);
-    EXPECT_EQ(broken->clone()->name(), broken->name());
-}
-
 TEST(Replayer, DigestIsDeterministicAndStateSensitive)
 {
     DirectedTrace shape;
@@ -245,4 +233,226 @@ TEST(Replayer, PurgedLockRefetchReclaimsMemoryTag)
     ReplayVerdict v = replayTrace(t);
     EXPECT_TRUE(v.clean()) << v.describe();
     EXPECT_EQ(v.skippedOps, 0u);
+}
+
+namespace
+{
+
+/** Everything a replayed state exposes: the digest, the verdict, the
+ *  clock and the stats document. */
+struct Observed
+{
+    std::string digest;
+    ReplayVerdict verdict;
+    Tick now = 0;
+    std::string stats;
+};
+
+Observed
+observe(TraceReplayer &r)
+{
+    Observed o;
+    o.verdict = r.verdict();
+    o.digest = r.digest();
+    o.now = r.system().now();
+    std::ostringstream os;
+    r.system().dumpStatsJson(os);
+    o.stats = os.str();
+    return o;
+}
+
+void
+expectSame(const Observed &inc, const Observed &fresh,
+           const DirectedTrace &path)
+{
+    std::string where = traceToJson(path).dump(0);
+    EXPECT_EQ(inc.digest, fresh.digest) << where;
+    EXPECT_EQ(inc.verdict.describe(), fresh.verdict.describe()) << where;
+    EXPECT_EQ(inc.verdict.firstProblem, fresh.verdict.firstProblem)
+        << where;
+    EXPECT_EQ(inc.verdict.skippedOps, fresh.verdict.skippedOps) << where;
+    EXPECT_EQ(inc.now, fresh.now) << where;
+    EXPECT_EQ(inc.stats, fresh.stats) << where;
+}
+
+/**
+ * The explorer's search with a cross-check on every edge: restoring the
+ * parent's checkpoint and stepping one op must leave the replayer
+ * exactly where a fresh replay of the whole prefix does.  Mirrors
+ * StateExplorer's alphabet, enabling rules and digest dedup.
+ */
+class EdgeChecker
+{
+  public:
+    EdgeChecker(const DirectedTrace &shape, unsigned depth)
+        : shape_(shape), depth_(depth), checkpoints_(depth)
+    {
+        locks_ = makeProtocol(shape.protocol)->supportsLockOps();
+    }
+
+    /** Search from a fresh replayer; returns the edges checked. */
+    unsigned
+    run()
+    {
+        TraceReplayer r(shape_);
+        visit(r, 0);
+        return edges_;
+    }
+
+  private:
+    void
+    visit(TraceReplayer &r, unsigned depth)
+    {
+        if (!r.verdict().clean() || depth >= depth_)
+            return;
+        auto it = visited_.find(r.digest());
+        if (it != visited_.end() && it->second <= depth)
+            return;
+        visited_[r.digest()] = depth;
+
+        TraceReplayer::Checkpoint &here = checkpoints_[depth];
+        r.checkpoint(here);
+        const DirectedKind kinds[] = {
+            DirectedKind::Read, DirectedKind::Write, DirectedKind::LockRead,
+            DirectedKind::UnlockWrite, DirectedKind::Evict};
+        for (unsigned c = 0; c < shape_.processors; ++c) {
+            for (DirectedKind k : kinds) {
+                r.restore(here);
+                DirectedOp op{c, k, StateExplorer::blockAddr(0), 0};
+                if (!enabled(r, op))
+                    continue;
+                if (k == DirectedKind::Write ||
+                    k == DirectedKind::UnlockWrite)
+                    op.value = StateExplorer::writeValue(depth, c);
+                r.step(op);
+
+                TraceReplayer fresh(shape_);
+                for (const DirectedOp &o : r.recorded().ops)
+                    fresh.step(o);
+                Observed want = observe(fresh);
+                expectSame(observe(r), want, r.recorded());
+                EXPECT_EQ(replayTrace(r.recorded()).firstProblem,
+                          want.verdict.firstProblem);
+                ++edges_;
+                visit(r, depth + 1);
+            }
+        }
+    }
+
+    bool
+    enabled(TraceReplayer &r, const DirectedOp &op) const
+    {
+        if (r.busy(op.cache))
+            return false;
+        NodeId holder = r.system().checker().lockHolder(op.addr);
+        switch (op.kind) {
+          case DirectedKind::LockRead:
+            return locks_ && holder != NodeId(op.cache);
+          case DirectedKind::UnlockWrite:
+            return locks_ && holder == NodeId(op.cache);
+          case DirectedKind::Evict:
+            return isValid(r.system().cache(op.cache).stateOf(op.addr));
+          default:
+            return true;
+        }
+    }
+
+    DirectedTrace shape_;
+    unsigned depth_;
+    bool locks_ = false;
+    unsigned edges_ = 0;
+    std::vector<TraceReplayer::Checkpoint> checkpoints_;
+    std::unordered_map<std::string, unsigned> visited_;
+};
+
+} // anonymous namespace
+
+TEST(Checkpoint, RestoreAndStepMatchesFreshReplayOnEveryEdge)
+{
+    std::vector<std::string> protocols = StateExplorer::shippedProtocols();
+    protocols.push_back("broken_noinval");
+    protocols.push_back("broken_adaptive");
+    for (const char *topology : {"single_bus", "clustered_2x1"}) {
+        ExploreBounds bounds = ExploreBounds::smoke();
+        bounds.topology = topology;
+        StateExplorer ex(bounds);
+        for (const std::string &name : protocols) {
+            SCOPED_TRACE(name + " on " + topology);
+            EdgeChecker check(ex.shapeFor(name), bounds.depth);
+            EXPECT_GT(check.run(), 10u);
+        }
+    }
+}
+
+TEST(Checkpoint, RestoreRewindsAStalledReplay)
+{
+    // Without the busy-wait register a contended lock retries on the
+    // bus forever: the settle stalls with events still queued.  Restore
+    // must drop them and rewind to the clean state.
+    DirectedTrace shape;
+    shape.protocol = "bitar";
+    shape.useBusyWaitRegister = false;
+    TraceReplayer r(shape);
+    r.step({0, DirectedKind::LockRead, 0x1000, 0});
+    ASSERT_TRUE(r.verdict().clean());
+    TraceReplayer::Checkpoint cp;
+    r.checkpoint(cp);
+    Observed before = observe(r);
+
+    r.step({1, DirectedKind::LockRead, 0x1000, 0});
+    ASSERT_TRUE(r.verdict().stalled);
+    ASSERT_FALSE(r.system().eventq().empty());
+
+    r.restore(cp);
+    EXPECT_TRUE(r.system().eventq().empty());
+    expectSame(observe(r), before, r.recorded());
+    EXPECT_EQ(r.recorded().ops.size(), 1u);
+}
+
+TEST(CheckpointDeathTest, NonQuiescentSystemPanics)
+{
+    DirectedTrace shape;
+    shape.protocol = "bitar";
+    Scenario sc(shape.toConfig());
+    MemOp op;
+    op.type = OpType::Write;
+    op.addr = 0x1000;
+    op.value = 5;
+    // Issued but not settled: the bus request is still queued.
+    sc.issue(0, op);
+    System::Checkpoint cp;
+    EXPECT_DEATH(sc.system().checkpoint(cp), "pending events");
+}
+
+TEST(Checkpoint, RestoreRewindsTheArbitrationHistory)
+{
+    // Directed replays issue one op at a time, so the round-robin
+    // policy's last winner never decides a grant there.  Two requests
+    // posted together make it decide: after a restore they must be
+    // served in the order a fresh machine serves them.
+    DirectedTrace shape;
+    shape.protocol = "bitar";
+    MemOp read;
+    read.type = OpType::Read;
+    auto contend = [&](Scenario &sc) {
+        read.addr = 0x2000;
+        sc.issue(0, read);
+        sc.issue(1, read);
+        sc.settle();
+        std::ostringstream os;
+        sc.system().dumpStatsJson(os);
+        return std::to_string(sc.system().bus().lastMsg().requester) +
+               os.str();
+    };
+
+    Scenario fresh(shape.toConfig());
+    std::string want = contend(fresh);
+
+    Scenario sc(shape.toConfig());
+    Scenario::Checkpoint cp;
+    sc.checkpoint(cp);
+    read.addr = 0x1000;
+    sc.run(0, read); // cache 0 becomes the last winner
+    sc.restore(cp);
+    EXPECT_EQ(contend(sc), want);
 }

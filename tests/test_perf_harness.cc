@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "perf/bench_harness.hh"
 
 using namespace csync;
@@ -48,6 +50,33 @@ TEST(BenchHarness, TimingIsMonotoneAndOpsPropagate)
     EXPECT_GT(r.nsPerOp, 0.0);
     // ops/sec and ns/op describe the same median repetition.
     EXPECT_NEAR(r.opsPerSec * r.nsPerOp, 1e9, 1e9 * 1e-9);
+}
+
+TEST(BenchHarness, InterleavedKernelsAlternateRepByRep)
+{
+    // The --min-speedup gate compares a pair rep by rep, so rep i of
+    // every kernel must run before rep i+1 of any.
+    BenchHarness h;
+    BenchOptions opts;
+    opts.warmup = 1;
+    opts.reps = 3;
+    std::string order;
+    auto kernel = [&order](char tag) {
+        return [&order, tag]() -> std::uint64_t {
+            order += tag;
+            return 10;
+        };
+    };
+    std::vector<KernelResult> rs =
+        h.runInterleaved({{"a", kernel('a')}, {"b", kernel('b')}}, opts);
+    EXPECT_EQ(order, "abababab"); // one warmup each, then 3 reps
+    ASSERT_EQ(rs.size(), 2u);
+    EXPECT_EQ(rs[0].name, "a");
+    EXPECT_EQ(rs[1].name, "b");
+    for (const KernelResult &r : rs) {
+        EXPECT_EQ(r.repMs.size(), 3u);
+        EXPECT_EQ(r.opsPerRep, 10u);
+    }
 }
 
 TEST(BenchHarness, PeakRssIsNonZeroOnSupportedPlatforms)

@@ -224,30 +224,75 @@ runKernels(const std::vector<std::string> &only, std::uint64_t ops,
         return false;
     }
 
-    BenchHarness harness;
-    for (const auto &k : kernels) {
+    // Per-kernel job and outcome; the timed closures point into it.
+    struct Prepared
+    {
         JobSpec job;
-        if (!makeJob(k, ops, &job, err))
-            return false;
-        std::string job_err;
+        std::string err;
         std::map<std::string, double> recorded;
-        KernelResult r = harness.run(k.name,
-                                     [&job, &job_err, &k,
-                                      &recorded]() -> std::uint64_t {
-            JobResult row = CampaignRunner::runJob(job);
+    };
+    std::vector<Prepared> prepared(kernels.size());
+    std::vector<BenchHarness::Named> fns;
+    for (std::size_t i = 0; i < kernels.size(); ++i) {
+        Prepared &p = prepared[i];
+        if (!makeJob(kernels[i], ops, &p.job, err))
+            return false;
+        const KernelSpec &k = kernels[i];
+        auto fn = [&p, &k]() -> std::uint64_t {
+            JobResult row = CampaignRunner::runJob(p.job);
             if (!row.ok())
-                job_err = row.status + ": " + row.error;
+                p.err = row.status + ": " + row.error;
             for (const auto &stat : k.recordStats) {
                 auto it = row.stats.find(stat);
                 if (it != row.stats.end())
-                    recorded[stat] = it->second;
+                    p.recorded[stat] = it->second;
             }
             return row.memOps;
-        }, opts);
-        r.stats = std::move(recorded);
-        if (!job_err.empty()) {
+        };
+        fns.push_back({k.name, fn});
+    }
+
+    // Each kSpeedupPairs pair whose kernels both run is timed rep by
+    // rep, interleaved, so host drift lands on both halves of the
+    // ratio; every other kernel is timed on its own.
+    auto indexOf = [&](const char *name) {
+        for (std::size_t i = 0; i < kernels.size(); ++i)
+            if (kernels[i].name == name)
+                return i;
+        return kernels.size();
+    };
+    std::vector<std::vector<std::size_t>> batches;
+    std::vector<bool> batched(kernels.size(), false);
+    for (const auto &[serial_name, parallel_name] : kSpeedupPairs) {
+        std::size_t s = indexOf(serial_name), p = indexOf(parallel_name);
+        if (s < kernels.size() && p < kernels.size()) {
+            batches.push_back({s, p});
+            batched[s] = batched[p] = true;
+        }
+    }
+    for (std::size_t i = 0; i < kernels.size(); ++i)
+        if (!batched[i])
+            batches.push_back({i});
+
+    BenchHarness harness;
+    std::vector<KernelResult> results(kernels.size());
+    for (const auto &batch : batches) {
+        std::vector<BenchHarness::Named> group;
+        for (std::size_t i : batch)
+            group.push_back(fns[i]);
+        std::vector<KernelResult> timed =
+            harness.runInterleaved(group, opts);
+        for (std::size_t j = 0; j < batch.size(); ++j)
+            results[batch[j]] = std::move(timed[j]);
+    }
+
+    for (std::size_t i = 0; i < kernels.size(); ++i) {
+        const KernelSpec &k = kernels[i];
+        KernelResult &r = results[i];
+        r.stats = std::move(prepared[i].recorded);
+        if (!prepared[i].err.empty()) {
             std::fprintf(stderr, "csync-bench: kernel '%s' failed (%s)\n",
-                         k.name.c_str(), job_err.c_str());
+                         k.name.c_str(), prepared[i].err.c_str());
             *failed = true;
             continue;
         }
@@ -280,7 +325,8 @@ doList(unsigned mtThreads)
 
 /**
  * The --min-speedup gate: parallel-vs-serial ops/sec ratio on each
- * kSpeedupPairs pair, every one of which must reach @p minRatio.  All
+ * kSpeedupPairs pair, the median of the per-rep ratios of the pair's
+ * interleaved reps, every one of which must reach @p minRatio.  All
  * four kernels must be in @p results (run without a --kernels filter,
  * or with all of them named).
  */
@@ -309,10 +355,23 @@ checkSpeedup(const std::vector<KernelResult> &results, double minRatio,
                          "reported no throughput\n", serial_name);
             return 1;
         }
-        double ratio = parallel->opsPerSec / serial->opsPerSec;
-        std::printf("speedup %s/%s = %.2fx at %u threads (min %.2fx) -> "
-                    "%s\n", parallel_name, serial_name, ratio, mtThreads,
-                    minRatio, ratio >= minRatio ? "OK" : "FAIL");
+        // The pair ran interleaved: judge the median of the rep-by-rep
+        // throughput ratios, each taken under the same host conditions.
+        std::vector<double> ratios;
+        for (std::size_t i = 0; i < serial->repMs.size() &&
+                                i < parallel->repMs.size(); ++i) {
+            double serial_rate = double(serial->opsPerRep) /
+                                 serial->repMs[i];
+            double parallel_rate = double(parallel->opsPerRep) /
+                                   parallel->repMs[i];
+            ratios.push_back(parallel_rate / serial_rate);
+        }
+        double ratio = median(ratios);
+        std::printf("speedup %s/%s = %.2fx at %u threads (median of %zu "
+                    "interleaved reps, min %.2fx) -> %s\n",
+                    parallel_name, serial_name, ratio, mtThreads,
+                    ratios.size(), minRatio,
+                    ratio >= minRatio ? "OK" : "FAIL");
         if (ratio < minRatio)
             rc = 1;
     }
